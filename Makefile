@@ -54,9 +54,11 @@ crashtest:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkManagerRound$$|BenchmarkAggregate$$' -benchmem .
 
-# Regenerate the tracked hot-path perf report.
+# Regenerate the tracked hot-path perf report (-buildvcs stamps the
+# commit into it). The run fails when the exact aggregation round exceeds
+# its gated multiple of the serial float arm timed alongside it.
 hotpath:
-	$(GO) run ./cmd/apfbench -hotpath BENCH_hotpath.json
+	$(GO) run -buildvcs=true ./cmd/apfbench -hotpath BENCH_hotpath.json
 
 # Regenerate the tracked gob-vs-wire broadcast report, including the
 # sparse-codec arm across frozen fractions. The run itself enforces the

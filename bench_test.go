@@ -176,9 +176,10 @@ func BenchmarkManagerRound(b *testing.B) {
 	}
 }
 
-// BenchmarkAggregate measures the server-side weighted aggregation over
-// 10 client contributions: the sharded worker-pool reduction the engine
-// uses, with the serial client-major loop it replaced as the reference.
+// BenchmarkAggregate measures one coordinator round over 10 client
+// contributions through the exact Open/Add/Reduce path, with the serial
+// float loop it replaced as the in-run reference arm (`apfbench -hotpath`
+// gates the ratio of the two).
 func BenchmarkAggregate(b *testing.B) {
 	for _, dim := range []int{10_000, 1_000_000} {
 		contribs, weights := hotbench.NewAggregateInput(dim)
@@ -186,13 +187,13 @@ func BenchmarkAggregate(b *testing.B) {
 			agg := fl.NewAggregator(0)
 			defer agg.Close()
 			dst := make([]float64, dim)
-			if !agg.WeightedMean(dst, contribs, weights) {
+			if !hotbench.ExactAggregate(agg, dst, contribs, weights) {
 				b.Fatal("nothing aggregated")
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				agg.WeightedMean(dst, contribs, weights)
+				hotbench.ExactAggregate(agg, dst, contribs, weights)
 			}
 		})
 		b.Run(fmt.Sprintf("dim=%d/serial", dim), func(b *testing.B) {

@@ -4,11 +4,10 @@
 //     (Frame/ReadFrame), plus little-endian Writer/Reader primitives that
 //     encode float64s via their IEEE-754 bit patterns, so a decoded
 //     snapshot is bit-identical to the encoded state;
-//   - codecs for the two pieces of irreplaceable server-side state: the
-//     APF manager snapshot (core.State — EMAs, freezing periods, AIMD
-//     state, threshold, round/check counters) and the aggregator's
-//     in-flight round (fl.AggregatorState — partial contributions and the
-//     received-set);
+//   - a codec for the irreplaceable server-side state: the APF manager
+//     snapshot (core.State — EMAs, freezing periods, AIMD state,
+//     threshold, round/check counters). An in-flight round needs none: it
+//     is rebuilt from the WAL's logged updates on recovery;
 //   - a Store that persists a coordinator as an atomically rotated
 //     snapshot plus an append-only, fsync'd write-ahead log, and recovers
 //     the newest consistent (snapshot, WAL-suffix) pair after a crash,
@@ -46,10 +45,9 @@ const (
 
 // Frame kinds. Store callers may define further kinds above KindUser.
 const (
-	// KindManager frames a core.State manager snapshot.
+	// KindManager frames a core.State manager snapshot. (Kind 2 framed an
+	// in-flight aggregator round in earlier formats; no decoder reads it.)
 	KindManager uint16 = 1
-	// KindAggregator frames an fl.AggregatorState in-flight round.
-	KindAggregator uint16 = 2
 	// KindUser is the first kind value free for embedding packages
 	// (the transport's server snapshot and WAL records live here).
 	KindUser uint16 = 64

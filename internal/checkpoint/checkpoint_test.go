@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"apf/internal/core"
-	"apf/internal/fl"
 	"apf/internal/perturb"
 )
 
@@ -18,7 +17,7 @@ import (
 // reads them off again.
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{[]byte("hello"), nil, {0, 1, 2, 255}, make([]byte, 1000)}
-	kinds := []uint16{KindManager, KindAggregator, KindUser, KindUser + 7}
+	kinds := []uint16{KindManager, KindUser, KindUser + 7, 0xffff}
 	var buf []byte
 	for i, p := range payloads {
 		buf = AppendFrame(buf, kinds[i], p)
@@ -204,31 +203,6 @@ func TestManagerCodecRejectsDamage(t *testing.T) {
 	}
 	if _, err := DecodeManager(append(buf, 0)); err == nil {
 		t.Fatalf("trailing byte after manager frame accepted")
-	}
-}
-
-// TestAggregatorCodecRoundTrip round-trips an in-flight round, and
-// rejects a snapshot whose parallel arrays disagree.
-func TestAggregatorCodecRoundTrip(t *testing.T) {
-	s := &fl.AggregatorState{
-		Open:     true,
-		Round:    6,
-		Clients:  3,
-		IDs:      []int{0, 2},
-		Contribs: [][]float64{{1, 2, 3}, {-0.5, 0.25, 8}},
-		Weights:  []float64{10, 20},
-	}
-	got, err := DecodeAggregator(EncodeAggregator(s))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, s) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, s)
-	}
-
-	s.Weights = s.Weights[:1] // parallel arrays disagree
-	if _, err := DecodeAggregator(EncodeAggregator(s)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("inconsistent aggregator snapshot: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"apf/internal/core"
-	"apf/internal/fl"
 	"apf/internal/perturb"
 )
 
@@ -87,61 +86,6 @@ func DecodeManager(buf []byte) (*core.State, error) {
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
-	}
-	return s, nil
-}
-
-// EncodeAggregator frames an fl.AggregatorState — the in-flight partial
-// contributions and received-set of one round (KindAggregator).
-func EncodeAggregator(s *fl.AggregatorState) []byte {
-	var w Writer
-	w.Bool(s.Open)
-	w.Int(s.Round)
-	w.Int(s.Clients)
-	w.Ints(s.IDs)
-	w.Int(len(s.Contribs))
-	for _, c := range s.Contribs {
-		w.F64s(c)
-	}
-	w.F64s(s.Weights)
-	return AppendFrame(nil, KindAggregator, w.Bytes())
-}
-
-// DecodeAggregator reads an EncodeAggregator frame back into an
-// fl.AggregatorState.
-func DecodeAggregator(buf []byte) (*fl.AggregatorState, error) {
-	kind, payload, rest, err := ReadFrame(buf)
-	if err != nil {
-		return nil, err
-	}
-	if kind != KindAggregator {
-		return nil, fmt.Errorf("%w: frame kind %d, want aggregator (%d)", ErrCorrupt, kind, KindAggregator)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d bytes after aggregator frame", ErrCorrupt, len(rest))
-	}
-	r := NewReader(payload)
-	s := &fl.AggregatorState{}
-	s.Open = r.Bool()
-	s.Round = r.Int()
-	s.Clients = r.Int()
-	s.IDs = r.Ints()
-	n := r.Int()
-	if r.Err() == nil {
-		if n < 0 || n > len(payload)/8 {
-			return nil, fmt.Errorf("%w: contribution count %d overruns payload", ErrCorrupt, n)
-		}
-		for i := 0; i < n; i++ {
-			s.Contribs = append(s.Contribs, r.F64s())
-		}
-	}
-	s.Weights = r.F64s()
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	if len(s.IDs) != len(s.Contribs) || len(s.IDs) != len(s.Weights) {
-		return nil, fmt.Errorf("%w: aggregator snapshot with %d ids, %d contribs, %d weights",
-			ErrCorrupt, len(s.IDs), len(s.Contribs), len(s.Weights))
 	}
 	return s, nil
 }

@@ -1,13 +1,9 @@
 package checkpoint
 
-import (
-	"testing"
-
-	"apf/internal/fl"
-)
+import "testing"
 
 // FuzzCheckpointDecode throws arbitrary bytes at every decode surface of
-// the package: the frame reader and both state codecs. Invariants: no
+// the package: the frame reader and the manager codec. Invariants: no
 // panic, no over-allocation (the length guards bound slices by the
 // payload), and anything that decodes successfully must re-encode to a
 // frame that decodes to the same bytes.
@@ -15,14 +11,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendFrame(nil, KindUser, []byte("payload")))
 	f.Add(EncodeManager(testManagerState()))
-	f.Add(EncodeAggregator(&fl.AggregatorState{
-		Open:     true,
-		Round:    2,
-		Clients:  3,
-		IDs:      []int{1},
-		Contribs: [][]float64{{0.5, -1}},
-		Weights:  []float64{4},
-	}))
+	// A snapshot frame followed by a WAL record: the frame walk reads
+	// both, and the manager decoder must refuse the trailing frame.
+	f.Add(AppendFrame(EncodeManager(testManagerState()), KindUser, []byte("record")))
 	var w Writer
 	w.Int(1 << 50) // absurd length claim: must be bounded, not allocated
 	f.Add(AppendFrame(nil, KindManager, w.Bytes()))
@@ -48,15 +39,6 @@ func FuzzCheckpointDecode(f *testing.F) {
 			}
 			if again.Dim != s.Dim || again.LastRound != s.LastRound || len(again.Ref) != len(s.Ref) {
 				t.Fatalf("manager re-encode drifted: %+v vs %+v", again, s)
-			}
-		}
-		if s, err := DecodeAggregator(data); err == nil {
-			again, err := DecodeAggregator(EncodeAggregator(s))
-			if err != nil {
-				t.Fatalf("re-decode aggregator: %v", err)
-			}
-			if again.Round != s.Round || len(again.IDs) != len(s.IDs) {
-				t.Fatalf("aggregator re-encode drifted: %+v vs %+v", again, s)
 			}
 		}
 	})

@@ -3,54 +3,54 @@ package fl
 import (
 	"errors"
 	"fmt"
-	"math"
+	"slices"
+	"sync/atomic"
 )
 
-// Aggregator computes the server-side weighted mean of client contributions
-// by sharding the parameter range across a persistent worker pool. The
-// mean is the exact fixed-point reduction defined in exact.go: every
-// product is converted to a 128-bit fixed-point integer and summed
+// Aggregator reduces one round of client contributions to their weighted
+// mean. The mean is the exact fixed-point reduction defined in exact.go:
+// every product is converted to a 128-bit fixed-point integer and summed
 // exactly, so the result is bit-identical regardless of worker count,
 // scheduling, arrival order, or how the clients are partitioned across
 // relay pre-aggregators.
 //
-// Beyond the one-shot WeightedMean, an Aggregator also collects a round
-// incrementally (Open/Add/Reduce): Add stores each client's in-flight
-// contribution after a finiteness guard — a NaN or Inf scalar yields a
-// typed ErrNonFinite instead of silently corrupting the aggregate — and
-// Reduce folds the stored set through the identical exact reduction, so
-// incremental collection is bit-exact with the one-shot path. The
-// in-flight round (partial contributions plus the received-set) is
-// exportable as an AggregatorState for checkpointing.
+// A round is collected incrementally (Open/Add/Reduce). In the default
+// mean mode Add validates each contribution — a NaN or Inf scalar or
+// weight yields a typed ErrNonFinite, a product outside the accumulator's
+// range ErrOutOfRange, and neither changes any state — and folds it into
+// the round's Partial at once, sharded over a persistent worker pool.
+// Nothing is retained, so memory stays O(dim) however many clients a
+// round collects. ExportPartial hands the folded state upstream (the relay
+// face), and AddPartial folds relay partials in (the root face); because
+// the underlying sums are exact integers, a root's Reduce is bit-identical
+// to a flat aggregator having collected every client directly.
 //
-// Two further collection modes serve the hierarchical topology. With
-// SetStreaming(true), Add folds each contribution into exact partial
-// state immediately and retains nothing — constant memory per relay no
-// matter how many clients an edge terminates — and ExportPartial hands
-// the mergeable state upstream. With AddPartial, a root folds the
-// partials relays exported; because the underlying sums are exact
-// integers, the root's Reduce is bit-identical to a flat server having
-// collected every client directly.
+// The trimmed reduction (SetReduction) is the one mode that keeps every
+// client's payload until Reduce, because it needs every value of each
+// coordinate.
 //
-// An Aggregator is NOT safe for concurrent WeightedMean calls; it reuses
-// internal job state across calls to keep the steady state allocation-free.
+// An Aggregator is not safe for concurrent use; it reuses internal job
+// state across calls to keep the steady state allocation-free.
 type Aggregator struct {
 	pool    *workerPool
 	ownPool bool
 
-	// Job state for the WeightedMean in flight (published to the workers
-	// via the pool's Do barrier).
-	dst      []float64
-	contribs [][]float64
-	jobW     []float64 // raw weights, 0 marks a skipped client
+	// Job state for the sharded fold, mean, or trimmed mean in flight
+	// (published to the workers via the pool's Do barrier).
+	dst      []float64 // mean output
+	src      []float64 // contribution being folded
+	srcW     float64   // its weight
 	wf       float64   // correctly-rounded float of the exact total weight
 	chunk    int
+	bad      []int       // per fold shard: first refused index, -1 if none
+	overflow atomic.Bool // a fold shard overflowed its columns
 
-	runFn func(int) // bound once so Do allocates nothing per call
+	// Bound once so Do allocates nothing per call.
+	foldFn, unfoldFn, meanFn func(int)
 
 	// Reduction mode (SetReduction) plus the trimmed path's job state and
-	// per-chunk scratch columns — reused across rounds like the mean
-	// path's buffers, so the steady state stays allocation-free.
+	// per-chunk scratch columns — reused across rounds, so the steady
+	// state stays allocation-free.
 	reduction            Reduction
 	trimFrac             float64
 	tContribs            [][]float64
@@ -60,21 +60,19 @@ type Aggregator struct {
 	lastTrimK, lastTrimM int
 	runTrimFn            func(int)
 
-	// In-flight round state (Open/Add/Reduce).
+	// In-flight round state (Open/Add/Reduce). psum holds a mean round's
+	// exact sums; pMode marks a round collected from relay partials via
+	// AddPartial (pCount sums their client counts). Trimmed rounds store
+	// their payloads in slots instead.
 	open     bool
 	round    int
-	slots    [][]float64 // stored contributions by client id, nil = absent
-	slotW    []float64
+	seen     []bool // contributed this round, by id
 	received int
-
-	// Streaming / partial-merge state. In streaming mode Add folds into
-	// psum and discards the payload; pMode marks a round collected from
-	// relay partials via AddPartial (pCount sums their client counts).
-	stream bool
-	seen   []bool
-	psum   Partial
-	pMode  bool
-	pCount int
+	psum     Partial
+	pMode    bool
+	pCount   int
+	slots    [][]float64
+	slotW    []float64
 }
 
 // NewAggregator builds an aggregator over its own pool of the given worker
@@ -85,7 +83,9 @@ func NewAggregator(workers int) *Aggregator {
 
 func newAggregatorOn(pool *workerPool, own bool) *Aggregator {
 	a := &Aggregator{pool: pool, ownPool: own}
-	a.runFn = a.runChunk
+	a.foldFn = a.foldChunk
+	a.unfoldFn = a.unfoldChunk
+	a.meanFn = a.meanChunk
 	a.runTrimFn = a.runTrimChunk
 	return a
 }
@@ -94,89 +94,115 @@ func newAggregatorOn(pool *workerPool, own bool) *Aggregator {
 // negligible against the arithmetic.
 const minChunk = 4096
 
-// WeightedMean fills dst with the exact weighted mean of the
-// contributions: dst[j] = float64(Σ_k fix(w_k·c_k[j])) / float64(Σ_k
-// fix(w_k)), skipping clients with weight 0 (their contrib may be nil —
-// e.g. inactive clients under partial participation). When the exact
-// total weight is not strictly positive, or a weight is non-finite,
-// there is nothing to aggregate: dst is left untouched and false is
-// returned. A coordinate whose column hits a non-finite product or an
-// accumulator overflow becomes NaN.
-func (a *Aggregator) WeightedMean(dst []float64, contribs [][]float64, weights []float64) bool {
-	if len(contribs) != len(weights) {
-		panic(fmt.Sprintf("fl: %d contributions for %d weights", len(contribs), len(weights)))
-	}
-	var wlo, whi uint64
-	for k, w := range weights {
-		if w == 0 {
-			continue
-		}
-		if len(contribs[k]) != len(dst) {
-			panic(fmt.Sprintf("fl: contribution %d has length %d, want %d", k, len(contribs[k]), len(dst)))
-		}
-		plo, phi, ok := fixFromFloat(w)
-		if !ok {
-			return false
-		}
-		if wlo, whi, ok = fixAdd(wlo, whi, plo, phi); !ok {
-			return false
-		}
-	}
-	if int64(whi) < 0 || (whi == 0 && wlo == 0) {
-		return false
-	}
-	a.wf = fixToFloat(wlo, whi)
-
-	dim := len(dst)
+// shard sets the shard size for dim coordinates — about four shards per
+// worker, none below minChunk — and returns the shard count.
+func (a *Aggregator) shard(dim int) int {
 	chunk := (dim + a.pool.workers*4 - 1) / (a.pool.workers * 4)
 	if chunk < minChunk {
 		chunk = minChunk
 	}
-	nChunks := (dim + chunk - 1) / chunk
+	a.chunk = chunk
+	return (dim + chunk - 1) / chunk
+}
 
-	a.dst, a.contribs, a.jobW, a.chunk = dst, contribs, weights, chunk
-	if nChunks <= 1 {
-		a.runChunk(0) // too small to be worth the barrier
-	} else {
-		a.pool.Do(nChunks, a.runFn)
+// run executes fn over n shards: inline when one suffices (too small to
+// be worth the barrier), otherwise across the pool.
+func (a *Aggregator) run(n int, fn func(int)) {
+	if n <= 1 {
+		fn(0)
+		return
 	}
-	a.dst, a.contribs, a.jobW = nil, nil, nil
+	a.pool.Do(n, fn)
+}
+
+// span returns shard ci's coordinate range within dim.
+func (a *Aggregator) span(ci, dim int) (lo, hi int) {
+	lo = ci * a.chunk
+	return lo, min(lo+a.chunk, dim)
+}
+
+// fold validates one contribution and folds it into the round's partial
+// in one pass, sharded over the pool. Integer addition is associative, so
+// the shard boundaries and the worker schedule cannot affect the bits. A
+// refused scalar stops its shard, and every shard's additions are then
+// subtracted back out, so the refusal leaves the round as it was.
+func (a *Aggregator) fold(contrib []float64, weight float64) error {
+	if err := a.psum.prepare(contrib, weight); err != nil {
+		return err
+	}
+	n := a.shard(len(contrib))
+	a.bad = slices.Grow(a.bad[:0], max(n, 1))[:max(n, 1)] // every shard writes its entry
+	a.src, a.srcW = contrib, weight
+	a.overflow.Store(false)
+	a.run(n, a.foldFn)
+	bad := -1
+	for _, b := range a.bad {
+		if b >= 0 {
+			bad = b // shards are in coordinate order: the first is the lowest
+			a.run(n, a.unfoldFn)
+			break
+		}
+	}
+	a.src = nil
+	return a.psum.settle(contrib, weight, bad, a.overflow.Load())
+}
+
+func (a *Aggregator) foldChunk(ci int) {
+	lo, hi := a.span(ci, len(a.src))
+	bad, overflow := a.psum.foldRange(a.src, a.srcW, lo, hi)
+	a.bad[ci] = bad
+	if overflow {
+		a.overflow.Store(true)
+	}
+}
+
+// unfoldChunk takes back a shard that folded completely; a shard that
+// refused a scalar took itself back.
+func (a *Aggregator) unfoldChunk(ci int) {
+	if a.bad[ci] < 0 {
+		lo, hi := a.span(ci, len(a.src))
+		a.psum.foldRange(a.src, -a.srcW, lo, hi)
+	}
+}
+
+// mean writes the round partial's exact mean into dst, sharded over the
+// pool; false (dst untouched) when nothing aggregates.
+func (a *Aggregator) mean(dst []float64) bool {
+	w, ok := a.psum.total(dst)
+	if !ok {
+		return false
+	}
+	a.dst, a.wf = dst, w
+	a.run(a.shard(len(dst)), a.meanFn)
+	a.dst = nil
 	return true
 }
 
-// runChunk reduces one shard [ci·chunk, min(dim, (ci+1)·chunk)). Each
-// coordinate's column is summed exactly in 128-bit fixed point; because
-// integer addition is associative the shard boundaries (and the worker
-// schedule) cannot affect the bits.
-func (a *Aggregator) runChunk(ci int) {
-	base := ci * a.chunk
-	end := base + a.chunk
-	if end > len(a.dst) {
-		end = len(a.dst)
+func (a *Aggregator) meanChunk(ci int) {
+	lo, hi := a.span(ci, len(a.dst))
+	a.psum.meanRange(a.dst, a.wf, lo, hi)
+}
+
+// WeightedMean fills dst with the exact weighted mean of the
+// contributions: dst[j] = float64(Σ_k fix(w_k·c_k[j])) / float64(Σ_k
+// fix(w_k)), skipping clients with weight 0 (their contrib may be nil —
+// e.g. inactive clients under partial participation). It is a one-shot
+// round through the same sharded fold Add uses, so it must not be called
+// while a mean round is open. When a contribution fails Add's validation,
+// or the total weight is not strictly positive, nothing aggregates: dst is
+// left untouched and false is returned. Every contribution must match
+// dst's length.
+func (a *Aggregator) WeightedMean(dst []float64, contribs [][]float64, weights []float64) bool {
+	if a.open && a.reduction == ReduceMean {
+		panic("fl: WeightedMean inside an open mean round")
 	}
-	dst := a.dst[base:end]
-	for j := range dst {
-		var slo, shi uint64
-		ok := true
-		for k, c := range a.contribs {
-			w := a.jobW[k]
-			if w == 0 {
-				continue
-			}
-			var plo, phi uint64
-			if plo, phi, ok = fixFromFloat(w * c[base+j]); ok {
-				slo, shi, ok = fixAdd(slo, shi, plo, phi)
-			}
-			if !ok {
-				break
-			}
+	a.psum.Reset()
+	for k, w := range weights {
+		if w != 0 && a.fold(contribs[k], w) != nil {
+			return false
 		}
-		if !ok {
-			dst[j] = math.NaN()
-			continue
-		}
-		dst[j] = fixToFloat(slo, shi) / a.wf
 	}
+	return a.mean(dst)
 }
 
 // Close releases the aggregator's pool (when it owns one).
@@ -193,70 +219,45 @@ func (a *Aggregator) Close() {
 var ErrNonFinite = errors.New("fl: non-finite contribution")
 
 // ErrLengthMismatch is returned (wrapped) by Add when a contribution's
-// length disagrees with one already stored for the round — positionally
+// length disagrees with one already collected for the round — positionally
 // aligned averaging is meaningless across different geometries.
 var ErrLengthMismatch = errors.New("fl: payload length mismatch")
 
-// SetStreaming switches incremental collection to constant-memory exact
-// folding: Add validates each contribution and folds it into the round's
-// Partial immediately instead of retaining the payload — the relay-tier
-// mode, where an edge may terminate far more clients than fit in memory.
-// Streaming rounds cannot apply a trimmed reduction (it needs every
-// per-client value) and SnapshotRound cannot export their per-client
-// payloads; the transport never snapshots in-flight streaming rounds.
-// Must be called outside an open round.
-func (a *Aggregator) SetStreaming(on bool) {
-	if a.open {
-		panic("fl: SetStreaming inside an open round")
-	}
-	if on && a.reduction == ReduceTrimmed {
-		panic("fl: streaming aggregation cannot apply a trimmed reduction")
-	}
-	a.stream = on
-}
-
-// Streaming reports whether streaming collection is enabled.
-func (a *Aggregator) Streaming() bool { return a.stream }
-
 // Open begins incremental collection of one round with n client slots,
-// discarding any round still in flight. Slot buffers are reused across
-// rounds.
+// discarding any round still in flight. Buffers are reused across rounds.
 func (a *Aggregator) Open(round, n int) {
 	if n <= 0 {
 		panic(fmt.Sprintf("fl: invalid client count %d", n))
 	}
-	if a.stream {
-		if cap(a.seen) < n {
-			a.seen = make([]bool, n)
-		}
-		a.seen = a.seen[:n]
-		for i := range a.seen {
-			a.seen[i] = false
-		}
-		a.psum.Reset()
-	} else {
+	if cap(a.seen) < n {
+		a.seen = make([]bool, n)
+	}
+	a.seen = a.seen[:n]
+	clear(a.seen)
+	if a.reduction == ReduceTrimmed {
 		if cap(a.slots) < n {
 			a.slots = make([][]float64, n)
 			a.slotW = make([]float64, n)
 		}
-		a.slots = a.slots[:n]
-		a.slotW = a.slotW[:n]
-		for i := range a.slots {
-			a.slots[i], a.slotW[i] = nil, 0
-		}
+		a.slots, a.slotW = a.slots[:n], a.slotW[:n]
+		clear(a.slots)
+		clear(a.slotW)
 	}
+	a.psum.Reset()
 	a.open, a.round, a.received = true, round, 0
 	a.pMode, a.pCount = false, 0
 }
 
-// Add stores client id's contribution for the open round. It returns a
+// Add admits client id's contribution to the open round. It returns a
 // typed error — never panics — on an out-of-range id, a duplicate, a
-// payload whose length disagrees with an already-stored one, or any
-// non-finite scalar or weight (ErrNonFinite, naming the first offending
-// index). In the default mode the slice is stored, not copied; callers
-// must not mutate it until the round is reduced or discarded. In
-// streaming mode the contribution is folded exactly into the round's
-// partial state and the slice is not retained.
+// payload whose length disagrees with the round's, a non-finite scalar or
+// weight (ErrNonFinite), or a product outside the exact range
+// (ErrOutOfRange); a refused contribution changes nothing. In mean mode
+// the contribution is folded at once and the slice is not retained; an
+// accumulator overflow of the folded sums poisons the round
+// (ErrAccumOverflow, see Poisoned). In trimmed mode the slice is stored,
+// not copied; callers must not mutate it until the round is reduced or
+// discarded.
 func (a *Aggregator) Add(id int, contrib []float64, weight float64) error {
 	if !a.open {
 		return fmt.Errorf("fl: Add outside an open round")
@@ -264,64 +265,50 @@ func (a *Aggregator) Add(id int, contrib []float64, weight float64) error {
 	if a.pMode {
 		return fmt.Errorf("fl: Add into round %d already collecting relay partials", a.round)
 	}
-	if a.stream {
-		if id < 0 || id >= len(a.seen) {
-			return fmt.Errorf("fl: client id %d out of range [0,%d)", id, len(a.seen))
-		}
-		if a.seen[id] {
-			return fmt.Errorf("fl: duplicate contribution from client %d in round %d", id, a.round)
-		}
-		if err := a.psum.Fold(contrib, weight); err != nil {
-			return fmt.Errorf("round %d client %d: %w", a.round, id, err)
-		}
-		a.seen[id] = true
-		a.received++
-		return nil
+	if id < 0 || id >= len(a.seen) {
+		return fmt.Errorf("fl: client id %d out of range [0,%d)", id, len(a.seen))
 	}
-	if id < 0 || id >= len(a.slots) {
-		return fmt.Errorf("fl: client id %d out of range [0,%d)", id, len(a.slots))
-	}
-	if a.slots[id] != nil {
+	if a.seen[id] {
 		return fmt.Errorf("fl: duplicate contribution from client %d in round %d", id, a.round)
 	}
-	if contrib == nil {
-		// A fully-frozen round's compact payload is legitimately empty, and
-		// the wire decoder hands it over as nil; the nil slot would read as
-		// an absent client (and a duplicate re-send would slip through).
-		contrib = []float64{}
+	var err error
+	if a.reduction == ReduceTrimmed {
+		err = a.store(id, contrib, weight)
+	} else {
+		err = a.fold(contrib, weight)
 	}
-	if math.IsNaN(weight) || math.IsInf(weight, 0) || weight < 0 {
-		return fmt.Errorf("%w: round %d client %d weight %v", ErrNonFinite, a.round, id, weight)
+	if err != nil {
+		return fmt.Errorf("round %d client %d: %w", a.round, id, err)
 	}
-	for i := range a.slots {
-		if a.slots[i] != nil && len(a.slots[i]) != len(contrib) {
-			return fmt.Errorf("%w: round %d client %d payload length %d disagrees with client %d's %d",
-				ErrLengthMismatch, a.round, id, len(contrib), i, len(a.slots[i]))
-		}
-	}
-	for j, v := range contrib {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: round %d client %d scalar %d is %v", ErrNonFinite, a.round, id, j, v)
-		}
-	}
-	a.slots[id] = contrib
-	a.slotW[id] = weight
+	a.seen[id] = true
 	a.received++
 	return nil
 }
 
+// store keeps one validated contribution for a trimmed round.
+func (a *Aggregator) store(id int, contrib []float64, weight float64) error {
+	if d := a.Dim(); d >= 0 && len(contrib) != d {
+		return fmt.Errorf("%w: payload length %d, round holds %d", ErrLengthMismatch, len(contrib), d)
+	}
+	if err := checkContrib(contrib, weight); err != nil {
+		return err
+	}
+	a.slots[id], a.slotW[id] = contrib, weight
+	return nil
+}
+
 // AddPartial folds a relay's exported partial into the open round — the
-// root face of the hierarchy. The aggregator must be in streaming mode,
-// and a round that has seen AddPartial refuses plain Adds (and vice
-// versa): a round is collected from clients or from relays, never both.
-// Validation (dimension, count, weight sign, poison, overflow) is
-// Merge's; id-range and duplicate checks mirror Add's.
+// root face of the hierarchy. It needs the mean reduction, and a round
+// that has seen AddPartial refuses plain Adds (and vice versa): a round
+// is collected from clients or from relays, never both. Validation
+// (dimension, count, weight sign, poison, overflow) is Merge's; id-range
+// and duplicate checks mirror Add's.
 func (a *Aggregator) AddPartial(id int, p *Partial) error {
 	if !a.open {
 		return fmt.Errorf("fl: AddPartial outside an open round")
 	}
-	if !a.stream {
-		return fmt.Errorf("fl: AddPartial needs a streaming aggregator")
+	if a.reduction != ReduceMean {
+		return fmt.Errorf("fl: AddPartial needs the mean reduction, not %v", a.reduction)
 	}
 	if !a.pMode && a.received > 0 {
 		return fmt.Errorf("fl: AddPartial into round %d already collecting client updates", a.round)
@@ -342,22 +329,6 @@ func (a *Aggregator) AddPartial(id int, p *Partial) error {
 	return nil
 }
 
-// Received reports whether client id already contributed to the open
-// round.
-func (a *Aggregator) Received(id int) bool {
-	if !a.open || id < 0 {
-		return false
-	}
-	if a.stream {
-		return id < len(a.seen) && a.seen[id]
-	}
-	return id < len(a.slots) && a.slots[id] != nil
-}
-
-// Count returns how many contributions (clients, or relay partials in
-// partial-merge rounds) the open round holds.
-func (a *Aggregator) Count() int { return a.received }
-
 // ClientCount returns how many client contributions the open round
 // represents: for a partial-merge round, the sum of the relays' counts;
 // otherwise the number of Adds.
@@ -368,34 +339,39 @@ func (a *Aggregator) ClientCount() int {
 	return a.received
 }
 
+// Poisoned reports whether an accumulator overflow invalidated the open
+// (or last reduced) mean round: its sums are gone, and it never
+// aggregates.
+func (a *Aggregator) Poisoned() bool { return a.psum.Poisoned() }
+
 // Dim returns the payload length of the open round's contributions (-1
-// while none are stored).
+// while none arrived).
 func (a *Aggregator) Dim() int {
-	if a.stream {
-		if len(a.psum.Cols) == 0 {
-			return -1
+	if a.reduction == ReduceTrimmed {
+		for id, ok := range a.seen {
+			if ok {
+				return len(a.slots[id])
+			}
 		}
-		return a.psum.Dim()
+		return -1
 	}
-	for _, c := range a.slots {
-		if c != nil {
-			return len(c)
-		}
+	if a.received == 0 {
+		return -1
 	}
-	return -1
+	return a.psum.Dim()
 }
 
-// Reduce closes the open round and folds the stored contributions through
-// the configured reduction into dst. In ReduceMean mode the result is
-// bit-identical to a one-shot WeightedMean over the same
-// (contribs, weights) — and, in streaming or partial-merge rounds, to a
-// flat aggregation of every underlying client (the sums are exact, so
-// grouping cannot change the bits). ReduceTrimmed applies the
+// Reduce closes the open round and writes its reduction into dst. In
+// ReduceMean mode that is the exact mean of the folded sums — bit-identical
+// to WeightedMean over the same (contribs, weights), and, in partial-merge
+// rounds, to a flat aggregation of every underlying client (the sums are
+// exact, so grouping cannot change the bits). ReduceTrimmed applies the
 // coordinate-wise trimmed mean instead (which itself degrades bit-exactly
-// to the mean when fewer than 3 contributions arrive). Returns the
-// direct contribution count (Adds, or relay partials — see ClientCount
-// for the underlying client total) and false when nothing aggregates (no
-// contributions or zero total weight); the round is closed either way.
+// to the mean when fewer than 3 contributions arrive). Returns the direct
+// contribution count (Adds, or relay partials — see ClientCount for the
+// underlying client total) and false when nothing aggregates (no
+// contributions, zero total weight, or a poisoned round); the round is
+// closed either way.
 func (a *Aggregator) Reduce(dst []float64) (int, bool) {
 	if !a.open {
 		return 0, false
@@ -405,48 +381,28 @@ func (a *Aggregator) Reduce(dst []float64) (int, bool) {
 	if count == 0 {
 		return 0, false
 	}
-	var ok bool
-	if a.stream {
-		a.lastTrimK, a.lastTrimM = 0, count
-		ok = a.psum.Mean(dst)
-	} else if a.reduction == ReduceTrimmed {
-		ok = a.TrimmedMean(dst, a.slots, a.slotW, a.trimFrac)
-	} else {
-		a.lastTrimK, a.lastTrimM = 0, count
-		ok = a.WeightedMean(dst, a.slots, a.slotW)
+	if a.reduction == ReduceTrimmed {
+		ok := a.TrimmedMean(dst, a.slots, a.slotW, a.trimFrac)
+		clear(a.slots)
+		return count, ok
 	}
-	return count, ok
+	a.lastTrimK, a.lastTrimM = 0, count
+	return count, a.mean(dst)
 }
 
-// ExportPartial closes the open round and copies its exact mergeable
-// state into p — the relay face of the hierarchy. In streaming mode this
-// is a copy of the folded state; otherwise the stored slots are folded
-// in id order (identical bits either way: the sums are exact). Returns
-// the contribution count and false when no round was open; a round with
-// zero contributions exports a valid empty partial.
+// ExportPartial closes the open mean round and moves its exact mergeable
+// state into p — the relay face of the hierarchy; p's old columns become
+// the aggregator's buffer for the next round. Returns the contribution
+// count and false when no mean round was open; a round with zero
+// contributions exports a valid empty partial.
 func (a *Aggregator) ExportPartial(p *Partial) (int, bool) {
-	if !a.open {
+	if !a.open || a.reduction != ReduceMean {
 		return 0, false
 	}
 	a.open = false
-	count := a.received
-	if a.stream {
-		p.CopyFrom(&a.psum)
-		return count, true
-	}
-	p.Reset()
-	for id, c := range a.slots {
-		if c == nil {
-			continue
-		}
-		if err := p.Fold(c, a.slotW[id]); err != nil {
-			// Stored slots already passed Add's validation; only an
-			// accumulator overflow can surface here, and it poisons p
-			// for the caller to detect.
-			return count, true
-		}
-	}
-	return count, true
+	*p, a.psum = a.psum, *p
+	a.psum.Reset()
+	return a.received, true
 }
 
 // Discard drops the in-flight round without aggregating — the crash-
@@ -456,76 +412,9 @@ func (a *Aggregator) Discard() {
 	if !a.open {
 		return
 	}
-	for i := range a.slots {
-		a.slots[i], a.slotW[i] = nil, 0
-	}
-	if a.stream {
-		for i := range a.seen {
-			a.seen[i] = false
-		}
-		a.psum.Reset()
-	}
+	clear(a.seen)
+	clear(a.slots)
+	a.psum.Reset()
 	a.open, a.received = false, 0
 	a.pMode, a.pCount = false, 0
-}
-
-// AggregatorState is a serializable snapshot of an in-flight round: the
-// partial (per-client) contributions and the received-set. All fields are
-// exported for codecs (package checkpoint frames it in binary).
-type AggregatorState struct {
-	Open  bool
-	Round int
-	// Clients is the slot count (cluster size) of the open round.
-	Clients int
-	// IDs lists the clients whose contributions are stored, ascending.
-	IDs []int
-	// Contribs and Weights hold the stored payloads, parallel to IDs.
-	Contribs [][]float64
-	Weights  []float64
-}
-
-// SnapshotRound exports the in-flight round (empty state when no round is
-// open). Payloads are copied.
-func (a *Aggregator) SnapshotRound() *AggregatorState {
-	s := &AggregatorState{Open: a.open, Round: a.round, Clients: len(a.slots)}
-	if !a.open {
-		return s
-	}
-	for id, c := range a.slots {
-		if c == nil {
-			continue
-		}
-		s.IDs = append(s.IDs, id)
-		s.Contribs = append(s.Contribs, append([]float64(nil), c...))
-		s.Weights = append(s.Weights, a.slotW[id])
-	}
-	return s
-}
-
-// RestoreRound reloads an in-flight round from a snapshot, replacing any
-// open round. Every stored contribution passes the same validation Add
-// applies.
-func (a *Aggregator) RestoreRound(s *AggregatorState) error {
-	if s == nil {
-		return fmt.Errorf("fl: nil aggregator snapshot")
-	}
-	if len(s.IDs) != len(s.Contribs) || len(s.IDs) != len(s.Weights) {
-		return fmt.Errorf("fl: inconsistent aggregator snapshot (%d ids, %d contribs, %d weights)",
-			len(s.IDs), len(s.Contribs), len(s.Weights))
-	}
-	if !s.Open {
-		a.Discard()
-		return nil
-	}
-	if s.Clients <= 0 {
-		return fmt.Errorf("fl: aggregator snapshot with %d clients", s.Clients)
-	}
-	a.Open(s.Round, s.Clients)
-	for k, id := range s.IDs {
-		if err := a.Add(id, s.Contribs[k], s.Weights[k]); err != nil {
-			a.Discard()
-			return err
-		}
-	}
-	return nil
 }

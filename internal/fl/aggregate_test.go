@@ -1,12 +1,13 @@
 package fl
 
 import (
-	"apf/internal/quantize"
 	"errors"
 	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
+
+	"apf/internal/quantize"
 )
 
 // serialWeightedMean is the unsharded, unpooled reference for the exact
@@ -131,8 +132,8 @@ func TestStreamingReduceMatchesOneShot(t *testing.T) {
 				t.Fatalf("round %d Add(%d): %v", round, id, err)
 			}
 		}
-		if a.Count() != clients || a.Dim() != dim {
-			t.Fatalf("round %d: count=%d dim=%d", round, a.Count(), a.Dim())
+		if a.ClientCount() != clients || a.Dim() != dim {
+			t.Fatalf("round %d: count=%d dim=%d", round, a.ClientCount(), a.Dim())
 		}
 		got := make([]float64, dim)
 		count, ok := a.Reduce(got)
@@ -149,16 +150,19 @@ func TestStreamingReduceMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestStreamingAndPartialModesBitExact drives the three collection modes
-// — stored slots, streaming folds, and a two-tier relay split exporting
-// and re-merging partials — over the same clients and requires all of
-// them to reduce to identical bits, dropped clients included.
+// TestStreamingAndPartialModesBitExact drives the two ways a mean round
+// is collected — client folds in random arrival order, and a two-tier
+// relay split exporting and re-merging partials — over the same clients,
+// and requires both to reduce to the serial reference's bits, dropped
+// clients included; the flat round's exported partial must equal the
+// merge of the relay partials word for word.
 func TestStreamingAndPartialModesBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const clients, relays, dim = 11, 3, minChunk + 7
 	for round := 0; round < 3; round++ {
 		contribs := make([][]float64, clients)
 		weights := make([]float64, clients)
+		wantCount := 0
 		for k := range contribs {
 			if k%5 == 4 {
 				continue // dropped client: no contribution this round
@@ -168,12 +172,17 @@ func TestStreamingAndPartialModesBitExact(t *testing.T) {
 				contribs[k][j] = rng.NormFloat64()
 			}
 			weights[k] = rng.Float64() + 0.1
+			wantCount++
+		}
+		want := make([]float64, dim)
+		if !serialWeightedMean(want, contribs, weights) {
+			t.Fatal("serial reference aggregated nothing")
 		}
 
-		// Reference: the default stored-slot path.
+		// Flat: every client folded in random arrival order.
 		flat := NewAggregator(2)
 		flat.Open(round, clients)
-		for k := range contribs {
+		for _, k := range rng.Perm(clients) {
 			if contribs[k] == nil {
 				continue
 			}
@@ -181,34 +190,14 @@ func TestStreamingAndPartialModesBitExact(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want := make([]float64, dim)
-		wantCount, ok := flat.Reduce(want)
-		flat.Close()
-		if !ok {
-			t.Fatal("flat Reduce failed")
-		}
-
-		// Streaming: same clients in random arrival order, nothing retained.
-		stream := NewAggregator(2)
-		stream.SetStreaming(true)
-		stream.Open(round, clients)
-		for _, k := range rng.Perm(clients) {
-			if contribs[k] == nil {
-				continue
-			}
-			if err := stream.Add(k, contribs[k], weights[k]); err != nil {
-				t.Fatal(err)
-			}
-		}
 		got := make([]float64, dim)
-		count, ok := stream.Reduce(got)
-		stream.Close()
+		count, ok := flat.Reduce(got)
 		if !ok || count != wantCount {
-			t.Fatalf("streaming Reduce: count=%d ok=%v, want %d", count, ok, wantCount)
+			t.Fatalf("flat Reduce: count=%d ok=%v, want %d", count, ok, wantCount)
 		}
 		for j := range want {
 			if got[j] != want[j] {
-				t.Fatalf("round %d streaming element %d = %v, want %v", round, j, got[j], want[j])
+				t.Fatalf("round %d flat element %d = %v, want %v", round, j, got[j], want[j])
 			}
 		}
 
@@ -217,7 +206,6 @@ func TestStreamingAndPartialModesBitExact(t *testing.T) {
 		parts := make([]Partial, relays)
 		for r := range parts {
 			relay := NewAggregator(1)
-			relay.SetStreaming(true)
 			relay.Open(round, clients)
 			for k := range contribs {
 				if contribs[k] == nil || k%relays != r {
@@ -233,20 +221,18 @@ func TestStreamingAndPartialModesBitExact(t *testing.T) {
 			relay.Close()
 		}
 		root := NewAggregator(2)
-		root.SetStreaming(true)
 		root.Open(round, relays)
 		for _, r := range rng.Perm(relays) {
 			if err := root.AddPartial(r, &parts[r]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if root.Count() != relays || root.ClientCount() != wantCount {
-			t.Fatalf("root counts: relays=%d clients=%d, want %d/%d",
-				root.Count(), root.ClientCount(), relays, wantCount)
+		if root.ClientCount() != wantCount {
+			t.Fatalf("root ClientCount = %d, want %d", root.ClientCount(), wantCount)
 		}
 		got2 := make([]float64, dim)
-		if _, ok := root.Reduce(got2); !ok {
-			t.Fatal("root Reduce failed")
+		if n, ok := root.Reduce(got2); !ok || n != relays {
+			t.Fatalf("root Reduce: %d partials, ok=%v, want %d", n, ok, relays)
 		}
 		root.Close()
 		for j := range want {
@@ -255,67 +241,65 @@ func TestStreamingAndPartialModesBitExact(t *testing.T) {
 			}
 		}
 
-		// Non-streaming export folds the stored slots to the same partial.
-		slotted := NewAggregator(1)
-		slotted.Open(round, clients)
+		// The flat round's own export is the merged relay partials.
+		flat.Open(round, clients)
 		for k := range contribs {
 			if contribs[k] == nil {
 				continue
 			}
-			if err := slotted.Add(k, contribs[k], weights[k]); err != nil {
+			if err := flat.Add(k, contribs[k], weights[k]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		var fromSlots, fromStream Partial
-		if _, ok := slotted.ExportPartial(&fromSlots); !ok {
-			t.Fatal("slotted ExportPartial failed")
+		var fromFlat, fromRelays Partial
+		if _, ok := flat.ExportPartial(&fromFlat); !ok {
+			t.Fatal("flat ExportPartial failed")
 		}
-		slotted.Close()
+		flat.Close()
 		for _, p := range parts {
-			if err := fromStream.Merge(&p); err != nil {
+			if err := fromRelays.Merge(&p); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if fromSlots.Count != fromStream.Count ||
-			fromSlots.WeightLo != fromStream.WeightLo || fromSlots.WeightHi != fromStream.WeightHi {
-			t.Fatal("slot-fold and stream-fold partials disagree on weight/count")
+		if fromFlat.Count != fromRelays.Count ||
+			fromFlat.WeightLo != fromRelays.WeightLo || fromFlat.WeightHi != fromRelays.WeightHi {
+			t.Fatal("flat and merged relay partials disagree on weight/count")
 		}
-		for i := range fromSlots.Cols {
-			if fromSlots.Cols[i] != fromStream.Cols[i] {
-				t.Fatalf("slot-fold and stream-fold partials disagree at column word %d", i)
+		for i := range fromFlat.Cols {
+			if fromFlat.Cols[i] != fromRelays.Cols[i] {
+				t.Fatalf("flat and merged relay partials disagree at column word %d", i)
 			}
 		}
 	}
 }
 
-// TestStreamingAddValidation pins the streaming-mode guards: duplicates,
-// out-of-range ids, poisoned payloads, mode mixing, and the
-// streaming/trimmed incompatibility.
+// TestStreamingAddValidation pins the mean round's guards: duplicates,
+// out-of-range ids, poisoned payloads, mode mixing, and the partial faces
+// refusing a trimmed aggregator.
 func TestStreamingAddValidation(t *testing.T) {
 	a := NewAggregator(1)
 	defer a.Close()
-	a.SetStreaming(true)
 	a.Open(0, 3)
 	if err := a.Add(0, []float64{1, 2}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Add(0, []float64{1, 2}, 1); err == nil {
-		t.Fatal("streaming duplicate accepted")
+		t.Fatal("duplicate accepted")
 	}
 	if err := a.Add(5, []float64{1, 2}, 1); err == nil {
-		t.Fatal("streaming out-of-range id accepted")
+		t.Fatal("out-of-range id accepted")
 	}
 	if err := a.Add(1, []float64{math.NaN(), 2}, 1); !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("streaming NaN err = %v", err)
+		t.Fatalf("NaN err = %v", err)
 	}
 	if err := a.Add(1, []float64{1}, 1); !errors.Is(err, ErrLengthMismatch) {
-		t.Fatalf("streaming length mismatch err = %v", err)
+		t.Fatalf("length mismatch err = %v", err)
 	}
-	if a.Count() != 1 || !a.Received(0) || a.Received(1) {
-		t.Fatalf("streaming guards mutated state: count=%d", a.Count())
+	if a.ClientCount() != 1 || a.Poisoned() {
+		t.Fatalf("guards mutated state: count=%d poisoned=%v", a.ClientCount(), a.Poisoned())
 	}
 	if a.Dim() != 2 {
-		t.Fatalf("streaming Dim = %d", a.Dim())
+		t.Fatalf("Dim = %d", a.Dim())
 	}
 	var p Partial
 	if err := p.Fold([]float64{3, 4}, 1); err != nil {
@@ -335,37 +319,30 @@ func TestStreamingAddValidation(t *testing.T) {
 		t.Fatal("Add mixed into a partial round")
 	}
 
-	// AddPartial needs streaming mode.
+	// A trimmed aggregator keeps per-client values; it has no partial
+	// face, and its reduction cannot change mid-round.
 	b := NewAggregator(1)
 	defer b.Close()
+	b.SetReduction(ReduceTrimmed, 0.25)
 	b.Open(0, 2)
 	if err := b.AddPartial(0, &p); err == nil {
-		t.Fatal("AddPartial accepted on a non-streaming aggregator")
+		t.Fatal("AddPartial accepted on a trimmed aggregator")
 	}
-
-	// Streaming and trimmed reduction are mutually exclusive, both ways.
+	if err := b.Add(0, []float64{1, 2}, 1); err != nil {
+		t.Fatal(err)
+	}
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("SetReduction(trimmed) on a streaming aggregator did not panic")
+				t.Fatal("SetReduction inside an open round did not panic")
 			}
 		}()
-		c := NewAggregator(1)
-		defer c.Close()
-		c.SetStreaming(true)
-		c.SetReduction(ReduceTrimmed, 0.25)
+		b.SetReduction(ReduceMean, 0)
 	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("SetStreaming on a trimmed aggregator did not panic")
-			}
-		}()
-		c := NewAggregator(1)
-		defer c.Close()
-		c.SetReduction(ReduceTrimmed, 0.25)
-		c.SetStreaming(true)
-	}()
+	var q Partial
+	if _, ok := b.ExportPartial(&q); ok {
+		t.Fatal("ExportPartial succeeded on a trimmed round")
+	}
 }
 
 // TestAddRejectsPoisonedContribution is the poisoned-client regression:
@@ -388,28 +365,35 @@ func TestAddRejectsPoisonedContribution(t *testing.T) {
 		id      int
 		contrib []float64
 		weight  float64
-		finite  bool // expect ErrNonFinite specifically
+		want    error // typed error expected, nil for an untyped refusal
 	}{
-		{"nan scalar", 1, []float64{1, math.NaN(), 3}, 1, true},
-		{"inf scalar", 1, []float64{math.Inf(1), 2, 3}, 1, true},
-		{"nan weight", 1, good2, math.NaN(), true},
-		{"inf weight", 1, good2, math.Inf(-1), true},
-		{"negative weight", 1, good2, -2, true},
-		{"id out of range", 7, good2, 1, false},
-		{"duplicate", 0, good0, 1, false},
-		{"length disagreement", 1, []float64{1, 2}, 1, false},
+		{"nan scalar", 1, []float64{1, math.NaN(), 3}, 1, ErrNonFinite},
+		{"inf scalar", 1, []float64{math.Inf(1), 2, 3}, 1, ErrNonFinite},
+		{"nan weight", 1, good2, math.NaN(), ErrNonFinite},
+		{"inf weight", 1, good2, math.Inf(-1), ErrNonFinite},
+		{"negative weight", 1, good2, -2, ErrNonFinite},
+		{"scalar out of range", 1, []float64{1, 1e19, 3}, 1, ErrOutOfRange},
+		{"product out of range", 1, []float64{1, 2, 3}, 0x1p62, ErrOutOfRange},
+		{"overflowing product", 1, []float64{1, 1e300, 3}, 1e300, ErrOutOfRange},
+		{"weight out of range", 1, good2, 1e19, ErrOutOfRange},
+		{"id out of range", 7, good2, 1, nil},
+		{"duplicate", 0, good0, 1, nil},
+		{"length disagreement", 1, []float64{1, 2}, 1, ErrLengthMismatch},
 	}
 	for _, tc := range cases {
 		err := a.Add(tc.id, tc.contrib, tc.weight)
 		if err == nil {
 			t.Fatalf("%s: accepted", tc.name)
 		}
-		if tc.finite != errors.Is(err, ErrNonFinite) {
-			t.Fatalf("%s: err = %v, ErrNonFinite match = %v", tc.name, err, !tc.finite)
+		if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if tc.want != ErrNonFinite && errors.Is(err, ErrNonFinite) {
+			t.Fatalf("%s: err = %v, unexpectedly ErrNonFinite", tc.name, err)
 		}
 	}
-	if a.Count() != 1 || a.Received(1) {
-		t.Fatalf("rejected contributions counted: count=%d received(1)=%v", a.Count(), a.Received(1))
+	if a.ClientCount() != 1 || a.Poisoned() {
+		t.Fatalf("rejected contributions changed the round: count=%d poisoned=%v", a.ClientCount(), a.Poisoned())
 	}
 
 	// The surviving clients aggregate as if the poisoned one never sent.
@@ -431,56 +415,81 @@ func TestAddRejectsPoisonedContribution(t *testing.T) {
 	}
 }
 
-// TestAggregatorSnapshotRoundTrip exports an in-flight round, restores it
-// into a fresh aggregator, and checks the restored round reduces to the
-// identical result; a snapshot poisoned after export must be refused.
-func TestAggregatorSnapshotRoundTrip(t *testing.T) {
-	a := NewAggregator(2)
-	defer a.Close()
-	a.Open(3, 4)
-	c0 := []float64{0.5, -1, 2}
-	c2 := []float64{3, 4, -0.25}
-	if err := a.Add(0, c0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Add(2, c2, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	s := a.SnapshotRound()
-	if !s.Open || s.Round != 3 || s.Clients != 4 || len(s.IDs) != 2 {
-		t.Fatalf("snapshot = %+v", s)
-	}
-
-	b := NewAggregator(2)
-	defer b.Close()
-	if err := b.RestoreRound(s); err != nil {
-		t.Fatal(err)
-	}
-	if !b.Received(0) || !b.Received(2) || b.Count() != 2 {
-		t.Fatalf("restored received-set wrong: count=%d", b.Count())
-	}
-	got := make([]float64, 3)
-	want := make([]float64, 3)
-	b.Reduce(got)
-	a.Reduce(want)
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("restored element %d = %v, want %v", j, got[j], want[j])
+// TestRefusedFoldLeavesRoundIntact: a contribution refused mid-fold — a
+// hostile scalar in a late shard, after the other shards have already
+// folded — is taken back out of every shard, so the round reduces to
+// exactly the bits of the clients that were admitted.
+func TestRefusedFoldLeavesRoundIntact(t *testing.T) {
+	const dim = 5*minChunk + 3
+	rng := rand.New(rand.NewSource(31))
+	contribs := make([][]float64, 3)
+	for k := range contribs {
+		contribs[k] = make([]float64, dim)
+		for j := range contribs[k] {
+			contribs[k][j] = rng.NormFloat64() * 1e3
 		}
 	}
-
-	s2 := a.SnapshotRound() // closed round exports empty
-	if s2.Open || len(s2.IDs) != 0 {
-		t.Fatalf("closed-round snapshot = %+v", s2)
+	weights := []float64{1.5, 2, 0.75}
+	want := make([]float64, dim)
+	if !serialWeightedMean(want, [][]float64{contribs[0], nil, contribs[2]}, []float64{weights[0], 0, weights[2]}) {
+		t.Fatal("serial reference aggregated nothing")
 	}
-
-	s.Contribs[0][1] = math.NaN() // tampered snapshot must not restore
-	if err := b.RestoreRound(s); !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("tampered restore err = %v, want ErrNonFinite", err)
+	for _, bad := range []struct {
+		at   int
+		v    float64
+		want error
+	}{{dim - 2, 1e19, ErrOutOfRange}, {minChunk + 1, math.Inf(-1), ErrNonFinite}, {0, math.NaN(), ErrNonFinite}} {
+		a := NewAggregator(3)
+		a.Open(0, 3)
+		if err := a.Add(0, contribs[0], weights[0]); err != nil {
+			t.Fatal(err)
+		}
+		hostile := append([]float64(nil), contribs[1]...)
+		hostile[bad.at] = bad.v
+		if err := a.Add(1, hostile, weights[1]); !errors.Is(err, bad.want) {
+			t.Fatalf("scalar %v at %d: err = %v, want %v", bad.v, bad.at, err, bad.want)
+		}
+		if err := a.Add(2, contribs[2], weights[2]); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float64, dim)
+		if count, ok := a.Reduce(got); !ok || count != 2 {
+			t.Fatalf("Reduce: count=%d ok=%v, want 2", count, ok)
+		}
+		a.Close()
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("scalar %v at %d: element %d = %v, want %v", bad.v, bad.at, j, got[j], want[j])
+			}
+		}
 	}
-	if b.Count() != 0 || b.Received(0) {
-		t.Fatalf("failed restore left partial state: count=%d", b.Count())
+}
+
+// TestMeanColumnsIndependentOfClients pins the other half of a mean
+// round's O(dim) memory (see TestMeanAddRetainsNothing): the column
+// buffer is sized by the dimension alone, and no per-client slots exist.
+func TestMeanColumnsIndependentOfClients(t *testing.T) {
+	const dim = 3*minChunk + 5
+	a := NewAggregator(2)
+	defer a.Close()
+	colCap := func(clients int) int {
+		a.Open(clients, clients)
+		c := make([]float64, dim)
+		for id := 0; id < clients; id++ {
+			if err := a.Add(id, c, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, ok := a.Reduce(make([]float64, dim)); !ok {
+			t.Fatal("Reduce failed")
+		}
+		return cap(a.psum.Cols)
+	}
+	if four, many := colCap(4), colCap(32); four != 2*dim || many != four {
+		t.Fatalf("column buffer cap: %d words at 4 clients, %d at 32, want %d for both", four, many, 2*dim)
+	}
+	if a.slots != nil {
+		t.Fatal("mean rounds allocated per-client slots")
 	}
 }
 
@@ -494,8 +503,8 @@ func TestDiscardDropsRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Discard()
-	if a.Count() != 0 || a.Received(0) {
-		t.Fatalf("discard left state: count=%d", a.Count())
+	if a.ClientCount() != 0 || a.Dim() != -1 {
+		t.Fatalf("discard left state: count=%d dim=%d", a.ClientCount(), a.Dim())
 	}
 	if _, ok := a.Reduce(make([]float64, 2)); ok {
 		t.Fatal("Reduce succeeded on a discarded round")
@@ -562,7 +571,6 @@ func TestRelayMergePropertyRandomPartitions(t *testing.T) {
 		}
 
 		flat := NewAggregator(2)
-		flat.SetStreaming(true)
 		flat.Open(0, clients)
 		for _, k := range rng.Perm(clients) {
 			if contribs[k] == nil {
@@ -582,7 +590,6 @@ func TestRelayMergePropertyRandomPartitions(t *testing.T) {
 		parts := make([]Partial, relays)
 		for r := range parts {
 			edge := NewAggregator(1)
-			edge.SetStreaming(true)
 			edge.Open(0, clients)
 			for k := range contribs {
 				if contribs[k] == nil || assign[k] != r {
@@ -599,7 +606,6 @@ func TestRelayMergePropertyRandomPartitions(t *testing.T) {
 		}
 
 		root := NewAggregator(2)
-		root.SetStreaming(true)
 		root.Open(0, relays)
 		for _, r := range rng.Perm(relays) {
 			if err := root.AddPartial(r, &parts[r]); err != nil {

@@ -151,11 +151,9 @@ type Engine struct {
 
 	// Run-scoped worker pool driving both the client phases and the
 	// sharded aggregation, plus reusable aggregation scratch.
-	pool     *workerPool
-	agg      *Aggregator
-	aggBuf   []float64
-	contribs [][]float64
-	weights  []float64
+	pool   *workerPool
+	agg    *Aggregator
+	aggBuf []float64
 }
 
 // New assembles an engine. parts[i] lists the training-set indices owned by
@@ -234,15 +232,10 @@ func (e *Engine) Run() *Result {
 			}
 		})
 
-		// Server aggregation: weighted mean of the contributions, sharded
-		// over the pool and double-buffered (aggBuf holds the previous
-		// global after the swap, ready to be overwritten next round).
-		e.contribs, e.weights = e.contribs[:0], e.weights[:0]
-		for _, c := range e.clients {
-			e.contribs = append(e.contribs, c.contrib)
-			e.weights = append(e.weights, c.weight)
-		}
-		if e.agg.WeightedMean(e.aggBuf, e.contribs, e.weights) {
+		// Server aggregation: the exact weighted mean, folded over the
+		// pool and double-buffered (aggBuf holds the previous global after
+		// the swap, ready to be overwritten next round).
+		if e.aggregate() {
 			e.global, e.aggBuf = e.aggBuf, e.global
 		}
 
@@ -298,6 +291,26 @@ func (e *Engine) Run() *Result {
 	}
 	res.BestAcc = best
 	return res
+}
+
+// aggregate reduces the round's contributions into aggBuf through the
+// same Open/Add/Reduce path the coordinator runs. Clients with weight 0
+// (inactive, or dropped stragglers) contribute nothing. A refused
+// contribution voids the round: it reports false, and the previous global
+// stays in force rather than a partly poisoned mean.
+func (e *Engine) aggregate() bool {
+	e.agg.Open(0, len(e.clients))
+	for _, c := range e.clients {
+		if c.weight == 0 {
+			continue
+		}
+		if err := e.agg.Add(c.id, c.contrib, c.weight); err != nil {
+			e.agg.Discard()
+			return false
+		}
+	}
+	_, ok := e.agg.Reduce(e.aggBuf)
+	return ok
 }
 
 // activeSet selects the clients participating in the given round.

@@ -177,6 +177,36 @@ func TestZeroWeightContributionIgnored(t *testing.T) {
 	}
 }
 
+// TestRefusedContributionKeepsGlobal: a contribution the aggregator
+// refuses — here a finite scalar whose weighted product leaves the exact
+// range — voids the simulator's round; the previous global stays in force
+// instead of NaN coordinates.
+func TestRefusedContributionKeepsGlobal(t *testing.T) {
+	train := testDataset(60, 7)
+	mgrs := make([]*recordingManager, 2)
+	mf := func(clientID, dim int) SyncManager {
+		m := &recordingManager{dim: dim, contrib: 1, weight: 1}
+		if clientID == 1 {
+			m.contrib = 1e19
+		}
+		mgrs[clientID] = m
+		return m
+	}
+	parts := data.PartitionIID(stats.SplitRNG(5, 0), train.Len(), 2)
+	cfg := baseConfig()
+	cfg.Rounds = 1
+	cfg.EvalEvery = 0
+	e := New(cfg, mlpFactory, sgdFactory(0.1), mf, train, parts, nil)
+	init := append([]float64(nil), e.Global()...)
+	e.Run()
+
+	for j, v := range mgrs[0].downloaded {
+		if v != init[j] {
+			t.Fatalf("global[%d] = %v, want the initial %v (round must be void)", j, v, init[j])
+		}
+	}
+}
+
 func TestStragglersRunFewerIterations(t *testing.T) {
 	train := testDataset(60, 7)
 	mgrs := make([]*recordingManager, 2)
@@ -238,13 +268,14 @@ func TestFedProxKeepsModelNearRoundStart(t *testing.T) {
 		cfg.LocalIters = 20
 		cfg.EvalEvery = 0
 		cfg.Prox = mu
-		var drift float64
+		// One slot per client: the probes run concurrently on the pool.
+		drifts := make([]float64, 2)
 		mf := func(clientID, dim int) SyncManager {
-			return &driftProbe{inner: NewPassthroughManager(4), drift: &drift}
+			return &driftProbe{inner: NewPassthroughManager(4), drift: &drifts[clientID]}
 		}
 		e := New(cfg, mlpFactory, sgdFactory(0.3), mf, train, parts, nil)
 		e.Run()
-		return drift
+		return drifts[0] + drifts[1]
 	}
 	free := run(0)
 	proximal := run(1) // proximal pull (μ·lr < 1 keeps the pull stable)

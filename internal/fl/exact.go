@@ -44,26 +44,14 @@ var ErrAccumOverflow = errors.New("fl: exact accumulator overflow")
 // non-finite or |x| ≥ 2^63 (outside the accumulator's range).
 func fixFromFloat(x float64) (lo, hi uint64, ok bool) {
 	b := math.Float64bits(x)
-	exp := int(b >> 52 & 0x7ff)
-	mant := b & (1<<52 - 1)
-	if exp == 0x7ff { // NaN or ±Inf
-		return 0, 0, false
-	}
-	if exp == 0 {
-		// ±0, or a subnormal (|x| < 2^-1022) whose scaled magnitude is
-		// far below half a unit: rounds to zero.
-		return 0, 0, true
-	}
-	mant |= 1 << 52
-	shift := exp - 1011 // x·2^64 = ±mant·2^shift, mant ∈ [2^52, 2^53)
+	mant := b&(1<<52-1) | 1<<52
+	shift := int(b>>52&0x7ff) - 1011 // x·2^64 = ±mant·2^shift, mant ∈ [2^52, 2^53)
 	switch {
 	case shift >= 75:
-		return 0, 0, false // |x| ≥ 2^63
-	case shift >= 64:
-		hi = mant << (shift - 64)
+		return 0, 0, false // |x| ≥ 2^63, NaN or ±Inf
 	case shift >= 0:
-		hi = mant >> (64 - shift)
-		lo = mant << shift
+		lo, hi = fixWindow(b, shift)
+		return lo, hi, true
 	case shift >= -53:
 		// Fractional tail dropped: round to nearest, ties to even.
 		s := uint(-shift)
@@ -73,12 +61,27 @@ func fixFromFloat(x float64) (lo, hi uint64, ok bool) {
 		}
 		lo = r
 	default:
-		// mant·2^shift < 1/2 strictly: rounds to zero.
+		// ±0, a subnormal, or mant·2^shift < 1/2 strictly: rounds to zero.
+		return 0, 0, true
 	}
 	if b>>63 == 1 {
 		lo, hi = negate128(lo, hi)
 	}
 	return lo, hi, true
+}
+
+// fixWindow is fixFromFloat, inlinable, over the common window
+// 2^-12 ≤ |x| < 2^63 (0 ≤ shift < 75) where it is an exact shift; b is
+// x's bit pattern. Over-wide Go shifts are 0, so one expression covers
+// both words, and the sign applies branch-free: -v = ^v + 1 under a mask.
+func fixWindow(b uint64, shift int) (lo, hi uint64) {
+	mant := b&(1<<52-1) | 1<<52
+	lo = mant << uint(shift)
+	hi = mant>>uint(64-shift) | mant<<uint(shift-64)
+	m := -(b >> 63)
+	var c uint64
+	lo, c = bits.Add64(lo^m, m&1, 0)
+	return lo, hi ^ m + c
 }
 
 // negate128 returns the two's-complement negation of (lo, hi).
@@ -198,50 +201,134 @@ func (p *Partial) adopt(dim int) {
 	}
 }
 
-// Fold adds one weighted contribution exactly. Validation happens before
-// any state changes: non-finite scalars, non-finite or negative weights
-// (ErrNonFinite), and payload lengths disagreeing with the partial's
-// dimension (ErrLengthMismatch) are rejected cleanly. An accumulator
-// overflow mid-fold poisons the partial and returns ErrAccumOverflow.
-func (p *Partial) Fold(contrib []float64, weight float64) error {
-	if p.poisoned {
-		return fmt.Errorf("%w: partial is poisoned", ErrAccumOverflow)
-	}
+// ErrOutOfRange is returned (wrapped) when a contribution carries a finite
+// weight or weighted scalar w·v with |w·v| ≥ 2^63, outside the exact
+// accumulator's range. It is caught before the contribution counts, so
+// one hostile scalar is refused like a non-finite one instead of
+// poisoning the round.
+var ErrOutOfRange = errors.New("fl: contribution outside the exact range")
+
+// checkWeight refuses a NaN, Inf or negative weight (ErrNonFinite) and a
+// weight outside ±2^63 (ErrOutOfRange).
+func checkWeight(weight float64) error {
 	if math.IsNaN(weight) || math.IsInf(weight, 0) || weight < 0 {
 		return fmt.Errorf("%w: weight %v", ErrNonFinite, weight)
 	}
-	if len(p.Cols) != 0 && 2*len(contrib) != len(p.Cols) {
+	if !(weight < 0x1p63) {
+		return fmt.Errorf("%w: weight %v", ErrOutOfRange, weight)
+	}
+	return nil
+}
+
+// scalarError types the refusal of scalar j, whose weighted product
+// failed the range check: ErrNonFinite for a NaN or Inf scalar,
+// ErrOutOfRange for a finite one.
+func scalarError(contrib []float64, j int, weight float64) error {
+	v := contrib[j]
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("%w: scalar %d is %v", ErrNonFinite, j, v)
+	}
+	return fmt.Errorf("%w: scalar %d is %v at weight %v", ErrOutOfRange, j, v, weight)
+}
+
+// checkContrib validates one weighted contribution without touching any
+// state, naming the first offending index; one range check per product
+// also catches NaN and Inf.
+func checkContrib(contrib []float64, weight float64) error {
+	if err := checkWeight(weight); err != nil {
+		return err
+	}
+	for j, v := range contrib {
+		if !(math.Abs(weight*v) < 0x1p63) {
+			return scalarError(contrib, j, weight)
+		}
+	}
+	return nil
+}
+
+// prepare runs a fold's up-front checks — poison, length, weight — and
+// sizes the columns when the partial is still empty. Nothing changes on
+// error.
+func (p *Partial) prepare(contrib []float64, weight float64) error {
+	if p.poisoned {
+		return fmt.Errorf("%w: partial is poisoned", ErrAccumOverflow)
+	}
+	if (p.Count > 0 || len(p.Cols) != 0) && 2*len(contrib) != len(p.Cols) {
 		return fmt.Errorf("%w: payload length %d, partial holds %d",
 			ErrLengthMismatch, len(contrib), p.Dim())
 	}
-	for j, v := range contrib {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: scalar %d is %v", ErrNonFinite, j, v)
-		}
-	}
-	wlo, whi, ok := fixFromFloat(weight)
-	if !ok {
-		return fmt.Errorf("%w: weight %v", ErrAccumOverflow, weight)
+	if err := checkWeight(weight); err != nil {
+		return err
 	}
 	if len(p.Cols) == 0 && len(contrib) > 0 {
 		p.adopt(len(contrib))
 	}
-	for j, v := range contrib {
-		plo, phi, ok := fixFromFloat(weight * v)
-		if ok {
-			p.Cols[2*j], p.Cols[2*j+1], ok = fixAdd(p.Cols[2*j], p.Cols[2*j+1], plo, phi)
+	return nil
+}
+
+// foldRange adds fix(w·contrib[j]) into the columns of [lo, hi); disjoint
+// ranges may run concurrently. The conversion is the range check: at the
+// first product outside ±2^63 (or NaN) the coordinates already added are
+// folded again at weight -w — fix is odd and 128-bit addition wraps, so
+// every column is restored bit for bit — and that index is returned.
+// Otherwise bad is -1 and overflow reports a column sum leaving range.
+func (p *Partial) foldRange(contrib []float64, w float64, lo, hi int) (bad int, overflow bool) {
+	cols := p.Cols[2*lo : 2*hi]
+	for j, v := range contrib[lo:hi] {
+		x := w * v
+		var plo, phi uint64
+		ok := true
+		b := math.Float64bits(x)
+		if shift := int(b>>52&0x7ff) - 1011; uint(shift) < 75 {
+			plo, phi = fixWindow(b, shift) // the common window, inlined
+		} else if plo, phi, ok = fixFromFloat(x); !ok {
+			p.foldRange(contrib, -w, lo, lo+j)
+			return lo + j, false
 		}
-		if !ok {
-			p.poisoned = true
-			return fmt.Errorf("%w: coordinate %d", ErrAccumOverflow, j)
-		}
+		cols[2*j], cols[2*j+1], ok = fixAdd(cols[2*j], cols[2*j+1], plo, phi)
+		overflow = overflow || !ok
 	}
+	return -1, overflow
+}
+
+// settle finishes a fold whose shards ran: a refused scalar (bad ≥ 0,
+// every shard already taken back out) leaves the partial as it was; a
+// column overflow poisons it; otherwise the weight is added and the
+// contribution counted.
+func (p *Partial) settle(contrib []float64, weight float64, bad int, overflow bool) error {
+	if bad >= 0 {
+		if p.Count == 0 {
+			p.Cols = p.Cols[:0] // the refused contribution sized them
+		}
+		return scalarError(contrib, bad, weight)
+	}
+	if overflow {
+		p.poisoned = true
+		return fmt.Errorf("%w: column sum", ErrAccumOverflow)
+	}
+	wlo, whi, _ := fixFromFloat(weight) // in range: prepare checked it
+	var ok bool
 	if p.WeightLo, p.WeightHi, ok = fixAdd(p.WeightLo, p.WeightHi, wlo, whi); !ok {
 		p.poisoned = true
 		return fmt.Errorf("%w: total weight", ErrAccumOverflow)
 	}
 	p.Count++
 	return nil
+}
+
+// Fold adds one weighted contribution exactly. Non-finite scalars,
+// non-finite or negative weights (ErrNonFinite), weights or products
+// outside ±2^63 (ErrOutOfRange), and payload lengths disagreeing with the
+// partial's dimension (ErrLengthMismatch) are refused and leave the
+// partial as it was. Only a genuine accumulator overflow — a sum of
+// in-range products leaving ±2^63 — poisons the partial and returns
+// ErrAccumOverflow.
+func (p *Partial) Fold(contrib []float64, weight float64) error {
+	if err := p.prepare(contrib, weight); err != nil {
+		return err
+	}
+	bad, overflow := p.foldRange(contrib, weight, 0, len(contrib))
+	return p.settle(contrib, weight, bad, overflow)
 }
 
 // Merge folds another partial in exactly. Integer addition makes the
@@ -288,11 +375,27 @@ func (p *Partial) Merge(q *Partial) error {
 	return nil
 }
 
-// CopyFrom overwrites p with q's state, reusing column capacity.
-func (p *Partial) CopyFrom(q *Partial) {
-	p.Count, p.WeightLo, p.WeightHi = q.Count, q.WeightLo, q.WeightHi
-	p.Cols = append(p.Cols[:0], q.Cols...)
-	p.poisoned = q.poisoned
+// total returns the float total weight a mean divides by, and false when
+// nothing aggregates: zero contributions, a non-positive total weight, or
+// a poisoned partial. dst must match the partial's dimension.
+func (p *Partial) total(dst []float64) (float64, bool) {
+	if p.poisoned || p.Count == 0 {
+		return 0, false
+	}
+	if int64(p.WeightHi) < 0 || (p.WeightHi == 0 && p.WeightLo == 0) {
+		return 0, false
+	}
+	if 2*len(dst) != len(p.Cols) {
+		panic(fmt.Sprintf("fl: mean into %d coordinates from a %d-dim partial", len(dst), p.Dim()))
+	}
+	return fixToFloat(p.WeightLo, p.WeightHi), true
+}
+
+// meanRange writes coordinates [lo, hi) of the mean over total weight w.
+func (p *Partial) meanRange(dst []float64, w float64, lo, hi int) {
+	for j := lo; j < hi; j++ {
+		dst[j] = fixToFloat(p.Cols[2*j], p.Cols[2*j+1]) / w
+	}
 }
 
 // Mean writes the exact weighted mean into dst. Returns false with dst
@@ -300,18 +403,9 @@ func (p *Partial) CopyFrom(q *Partial) {
 // total weight, or a poisoned partial. dst must match the partial's
 // dimension.
 func (p *Partial) Mean(dst []float64) bool {
-	if p.poisoned || p.Count == 0 {
-		return false
+	w, ok := p.total(dst)
+	if ok {
+		p.meanRange(dst, w, 0, len(dst))
 	}
-	if int64(p.WeightHi) < 0 || (p.WeightHi == 0 && p.WeightLo == 0) {
-		return false
-	}
-	if 2*len(dst) != len(p.Cols) {
-		panic(fmt.Sprintf("fl: mean into %d coordinates from a %d-dim partial", len(dst), p.Dim()))
-	}
-	w := fixToFloat(p.WeightLo, p.WeightHi)
-	for j := range dst {
-		dst[j] = fixToFloat(p.Cols[2*j], p.Cols[2*j+1]) / w
-	}
-	return true
+	return ok
 }

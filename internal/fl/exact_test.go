@@ -289,7 +289,9 @@ func TestPartialRejections(t *testing.T) {
 		{"nan weight", good, math.NaN(), ErrNonFinite},
 		{"negative weight", good, -1, ErrNonFinite},
 		{"length mismatch", []float64{1}, 1, ErrLengthMismatch},
-		{"huge weight", good, 0x1p70, ErrAccumOverflow},
+		{"huge weight", good, 0x1p70, ErrOutOfRange},
+		{"huge scalar", []float64{1e19, 0}, 1, ErrOutOfRange},
+		{"huge product", []float64{0, 0x1p33}, 0x1p30, ErrOutOfRange},
 	} {
 		if err := p.Fold(tc.contrib, tc.weight); !errors.Is(err, tc.want) {
 			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)

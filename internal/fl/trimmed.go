@@ -48,15 +48,16 @@ func ParseReduction(s string) (Reduction, error) {
 // ReduceTrimmed is selected without an explicit fraction.
 const DefaultTrimFraction = 0.25
 
-// SetReduction selects the reduction Reduce applies to subsequent rounds.
+// SetReduction selects the reduction Reduce applies to subsequent rounds;
+// it must be called outside an open round.
 // trimFrac is the per-side trim fraction for ReduceTrimmed (<= 0 takes
 // DefaultTrimFraction); it must stay below 0.5 — trimming half or more
 // from each side would leave no survivors.
 func (a *Aggregator) SetReduction(r Reduction, trimFrac float64) {
+	if a.open {
+		panic("fl: SetReduction inside an open round")
+	}
 	if r == ReduceTrimmed {
-		if a.stream {
-			panic("fl: streaming aggregation cannot apply a trimmed reduction")
-		}
 		if trimFrac <= 0 {
 			trimFrac = DefaultTrimFraction
 		}
@@ -67,9 +68,6 @@ func (a *Aggregator) SetReduction(r Reduction, trimFrac float64) {
 	a.reduction = r
 	a.trimFrac = trimFrac
 }
-
-// Reduction returns the configured reduction mode.
-func (a *Aggregator) Reduction() Reduction { return a.reduction }
 
 // LastTrim reports the per-side trim depth k and participant count m of
 // the most recent trimmed reduction (k = 0 when the last reduction was a
@@ -131,8 +129,8 @@ func (a *Aggregator) TrimmedMean(dst []float64, contribs [][]float64, weights []
 	}
 	a.lastTrimK, a.lastTrimM = k, m
 	if k == 0 {
-		// Degenerate case: nothing to trim. Run the exact WeightedMean op
-		// sequence so trim-fraction-0 is bit-identical to FedAvg.
+		// Degenerate case: nothing to trim. Run the exact mean's fold so
+		// trim-fraction-0 is bit-identical to FedAvg.
 		return a.WeightedMean(dst, contribs, weights)
 	}
 
@@ -148,22 +146,12 @@ func (a *Aggregator) TrimmedMean(dst []float64, contribs [][]float64, weights []
 		a.tWeights = append(a.tWeights, w)
 	}
 
-	dim := len(dst)
-	chunk := (dim + a.pool.workers*4 - 1) / (a.pool.workers * 4)
-	if chunk < minChunk {
-		chunk = minChunk
-	}
-	nChunks := (dim + chunk - 1) / chunk
-	for len(a.trimScratch) < nChunks {
+	nChunks := a.shard(len(dst))
+	for len(a.trimScratch) < max(nChunks, 1) {
 		a.trimScratch = append(a.trimScratch, nil)
 	}
-
-	a.dst, a.chunk, a.trimDepth = dst, chunk, k
-	if nChunks <= 1 {
-		a.runTrimChunk(0)
-	} else {
-		a.pool.Do(nChunks, a.runTrimFn)
-	}
+	a.dst, a.trimDepth = dst, k
+	a.run(nChunks, a.runTrimFn)
 	a.dst = nil
 	return true
 }
@@ -172,11 +160,7 @@ func (a *Aggregator) TrimmedMean(dst []float64, contribs [][]float64, weights []
 // the coordinate-wise trimmed mean. Each chunk owns its scratch column,
 // so concurrent chunks never share buffers.
 func (a *Aggregator) runTrimChunk(ci int) {
-	lo := ci * a.chunk
-	hi := lo + a.chunk
-	if hi > len(a.dst) {
-		hi = len(a.dst)
-	}
+	lo, hi := a.span(ci, len(a.dst))
 	dst := a.dst[lo:hi]
 	m := len(a.tContribs)
 	col := a.trimScratch[ci]

@@ -244,3 +244,22 @@ func TestParseReduction(t *testing.T) {
 		t.Error("Reduction.String does not round-trip the flag spellings")
 	}
 }
+
+// TestTrimmedEmptyPayloads: a round whose compact payloads are all empty
+// (every coordinate frozen) trims nothing and must not index a scratch
+// column that was never sized.
+func TestTrimmedEmptyPayloads(t *testing.T) {
+	t.Parallel()
+	agg := NewAggregator(2)
+	defer agg.Close()
+	agg.SetReduction(ReduceTrimmed, 0.25)
+	agg.Open(0, 4)
+	for id := 0; id < 4; id++ {
+		if err := agg.Add(id, nil, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, ok := agg.Reduce(nil); !ok || n != 4 {
+		t.Fatalf("Reduce = (%d, %v), want (4, true)", n, ok)
+	}
+}

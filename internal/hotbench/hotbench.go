@@ -14,6 +14,7 @@ package hotbench
 
 import (
 	"apf/internal/core"
+	"apf/internal/fl"
 )
 
 // Case is one point of the hot-path benchmark grid.
@@ -118,10 +119,25 @@ func NewAggregateInput(dim int) (contribs [][]float64, weights []float64) {
 	return contribs, weights
 }
 
+// ExactAggregate runs one coordinator round over the contributions
+// through agg's Open/Add/Reduce — the exact path every mean-mode round
+// takes — and reports whether it aggregated.
+func ExactAggregate(agg *fl.Aggregator, dst []float64, contribs [][]float64, weights []float64) bool {
+	agg.Open(0, len(contribs))
+	for id, c := range contribs {
+		if agg.Add(id, c, weights[id]) != nil {
+			agg.Discard()
+			return false
+		}
+	}
+	_, ok := agg.Reduce(dst)
+	return ok
+}
+
 // SerialAggregate reproduces the engine's pre-optimization server-side
-// aggregation verbatim (fresh output vector, one serial pass per client);
-// it is both the benchmark baseline and the reference the sharded
-// implementation is tested against.
+// aggregation verbatim (fresh output vector, one serial float pass per
+// client); it is the in-run reference arm ExactAggregate is timed
+// against.
 func SerialAggregate(dim int, contribs [][]float64, weights []float64) []float64 {
 	totalW := 0.0
 	for _, w := range weights {

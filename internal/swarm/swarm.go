@@ -1,7 +1,7 @@
 // Package swarm is a discrete-event simulator for the two-tier transport
 // topology at scales no socket harness reaches: it drives hundreds of
 // thousands to millions of simulated clients through the REAL aggregation
-// logic — fl.Aggregator streaming folds on the edges, exact partial
+// logic — fl.Aggregator exact folds on the edges, exact partial
 // export, wire-codec framing on the relay↔root boundary, fl.AddPartial
 // merges and the exact reduction at the root — with network hops replaced
 // by a virtual clock and a container/heap event queue.
@@ -153,7 +153,7 @@ func clientWeight(seed int64, client int) float64 {
 	return 1 + 0.5*unit(splitmix64(uint64(seed)^uint64(client)*0xd1342543de82ef95))
 }
 
-// relayState is one simulated edge: a real streaming aggregator plus the
+// relayState is one simulated edge: a real mean-mode aggregator plus the
 // round bookkeeping the socket relay keeps in its engine.
 type relayState struct {
 	agg     *fl.Aggregator
@@ -183,20 +183,17 @@ func Run(cfg Config) (*Result, error) {
 	relays := make([]relayState, cfg.Relays)
 	for r := range relays {
 		relays[r].agg = fl.NewAggregator(1)
-		relays[r].agg.SetStreaming(true)
 		defer relays[r].agg.Close()
 	}
 	for k := 0; k < cfg.Clients; k++ {
 		relays[k%cfg.Relays].clients++
 	}
 	root := fl.NewAggregator(1)
-	root.SetStreaming(true)
 	defer root.Close()
 
 	var oracle *fl.Aggregator
 	if cfg.Oracle {
 		oracle = fl.NewAggregator(2)
-		oracle.SetStreaming(true)
 		defer oracle.Close()
 		res.OracleChecked = true
 		res.OracleMatch = true

@@ -152,14 +152,9 @@ type roundEngine struct {
 	// reducer replaces the local reduction when non-nil (the relay face);
 	// see roundReducer.
 	reducer roundReducer
-	// streaming folds contributions into the exact fixed-point accumulator
-	// as they arrive instead of retaining payload slices — constant memory
-	// in client count, required for the relay tier. Incompatible with the
-	// trimmed reduction, which needs every per-client value.
-	streaming bool
 	// partialTier marks the root face of the hierarchy: slots are relays
-	// and events carry PartialUpdateMsg instead of UpdateMsg. Implies
-	// streaming (partial merge needs the exact accumulator).
+	// and events carry PartialUpdateMsg instead of UpdateMsg (partial
+	// merge needs the mean reduction's exact accumulator).
 	partialTier bool
 	// quantizeCommit rounds every committed aggregate through binary16
 	// (quantize.RoundTripSlice) before it is logged or distributed. Set when
@@ -201,9 +196,6 @@ func (e *roundEngine) run(ctx context.Context, startRound int, init []float64, h
 	agg := fl.NewAggregator(0)
 	defer agg.Close()
 	agg.SetReduction(e.reduction, e.trimFrac)
-	if e.streaming || e.partialTier {
-		agg.SetStreaming(true)
-	}
 
 	n := e.clients
 	st := &roundState{}
@@ -279,14 +271,13 @@ func (e *roundEngine) run(ctx context.Context, startRound int, init []float64, h
 				continue
 			}
 		} else {
-			dim := agg.Dim()
-			if dim < 0 {
-				// Streaming aggregation of all-empty payloads folds no
-				// columns: the round's aggregate is legitimately empty.
-				dim = 0
-			}
-			out := make([]float64, dim)
+			out := make([]float64, max(agg.Dim(), 0))
 			if _, ok := agg.Reduce(out); !ok {
+				if agg.Poisoned() {
+					// The round's exact sums overflowed ±2^63; no re-collection
+					// restores them (Relay.reduceRound reports the same).
+					return nil, fmt.Errorf("transport: round %d: %w", round, fl.ErrAccumOverflow)
+				}
 				return nil, protocolErrorf("round %d: all contributions withheld (total weight 0)", round)
 			}
 			if e.metrics != nil {
@@ -545,9 +536,10 @@ func (e *roundEngine) handlePartial(ev event, st *roundState, agg *fl.Aggregator
 // admit runs one update through the sanitization hook and the
 // aggregator's independent guards. The validator (when configured) is the
 // first line — typed rejections, strikes, quarantine; fl.Aggregator.Add
-// re-checks finiteness, weight validity, and cross-client payload-length
-// agreement regardless, so even with sanitization disabled a poisoned
-// contribution cannot fold into the round.
+// re-checks finiteness, the exact range of every weighted scalar, weight
+// validity, and cross-client payload-length agreement regardless, so even
+// with sanitization disabled a poisoned contribution cannot fold into the
+// round.
 func (e *roundEngine) admit(id, round int, u *UpdateMsg, agg *fl.Aggregator) error {
 	var norm float64
 	if e.validator != nil {
@@ -568,10 +560,10 @@ func (e *roundEngine) admit(id, round int, u *UpdateMsg, agg *fl.Aggregator) err
 			// (misaligned compact payloads), not a sanitization matter.
 			return protocolErrorf("client %d: %v", id, err)
 		}
-		if e.validator != nil && errors.Is(err, fl.ErrNonFinite) {
+		if e.validator != nil && (errors.Is(err, fl.ErrNonFinite) || errors.Is(err, fl.ErrOutOfRange)) {
 			// Validator enabled but bypassed (e.g. gate raced a decode
-			// quirk): still charge the strike so repeat offenders
-			// quarantine.
+			// quirk, or a finite scalar beyond the exact range): still
+			// charge the strike so repeat offenders quarantine.
 			e.validator.strike(id, round, err)
 		}
 		return err

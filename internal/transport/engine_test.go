@@ -19,7 +19,8 @@ type testSink struct {
 	partials []bool
 	logged   int
 	sparse   int
-	struck   []int // client ids struck by the post-round review, in order
+	struck   []int   // client ids struck by the post-round review, in order
+	rejected []error // refused updates (fault-tolerant mode), in order
 }
 
 func (s *testSink) markRound(int) {}
@@ -41,7 +42,11 @@ func (s *testSink) logPartial(id int, p *PartialUpdateMsg) error {
 	return nil
 }
 
-func (s *testSink) rejectUpdate(id, round int, err error) {}
+func (s *testSink) rejectUpdate(id, round int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.rejected = append(s.rejected, err)
+}
 
 func (s *testSink) strikeClient(id, round int, err error) {
 	s.mu.Lock()
@@ -364,5 +369,97 @@ func TestEngineQuantizeCommit(t *testing.T) {
 	}
 	if sink.commits[0].Payload[0] == 0.1 {
 		t.Error("0.1 survived unrounded: quantizeCommit did nothing")
+	}
+}
+
+// edgeReducer is a relay's downward face without the upstream socket: it
+// exports the round's exact partial as Relay.reduceRound does and commits
+// that partial's own mean, so an edge engine can be held against a flat
+// one.
+type edgeReducer struct{}
+
+func (edgeReducer) reduceRound(_ context.Context, round int, agg *fl.Aggregator, _ roundMeta) (*GlobalMsg, error) {
+	var p fl.Partial
+	if _, ok := agg.ExportPartial(&p); !ok {
+		return nil, errors.New("no open round to export")
+	}
+	if p.Poisoned() {
+		return nil, fl.ErrAccumOverflow
+	}
+	out := make([]float64, p.Dim())
+	if !p.Mean(out) {
+		return nil, errors.New("nothing to aggregate")
+	}
+	return &GlobalMsg{Round: round, Payload: out, Participants: p.Count}, nil
+}
+
+// TestEngineOutOfRangeScalar: with sanitization off, one client sends a
+// finite scalar (1e19) whose product leaves the exact accumulator's
+// range. Fault-tolerant, the update is refused with fl.ErrOutOfRange and
+// the round commits the other clients' mean, with no NaN; strict, the run
+// aborts with the same typed error. A relay edge behaves exactly as the
+// flat coordinator does.
+func TestEngineOutOfRangeScalar(t *testing.T) {
+	feed := func(events chan<- event) {
+		events <- event{id: 0, upd: &UpdateMsg{Round: 0, Payload: []float64{1, 2}, Weight: 1}}
+		events <- event{id: 1, upd: &UpdateMsg{Round: 0, Payload: []float64{1, 1e19}, Weight: 1}}
+		events <- event{id: 2, upd: &UpdateMsg{Round: 0, Payload: []float64{3, 6}, Weight: 1}}
+	}
+	for _, tier := range []struct {
+		name    string
+		reducer roundReducer
+	}{{"flat", nil}, {"relay-edge", edgeReducer{}}} {
+		sink := &testSink{}
+		e := &roundEngine{clients: 3, rounds: 1, deadline: 50 * time.Millisecond, minClients: 2,
+			sink: sink, reducer: tier.reducer}
+		global, err := runEngine(t, e, feed)
+		if err != nil {
+			t.Fatalf("%s fault-tolerant: run: %v", tier.name, err)
+		}
+		if len(sink.rejected) != 1 || !errors.Is(sink.rejected[0], fl.ErrOutOfRange) {
+			t.Fatalf("%s fault-tolerant: rejected = %v, want one fl.ErrOutOfRange", tier.name, sink.rejected)
+		}
+		if len(sink.commits) != 1 || sink.commits[0].Participants != 2 {
+			t.Fatalf("%s fault-tolerant: commits = %+v, want one round of 2 clients", tier.name, sink.commits)
+		}
+		if global[0] != 2 || global[1] != 4 {
+			t.Fatalf("%s fault-tolerant: global = %v, want the honest mean [2 4]", tier.name, global)
+		}
+
+		e = &roundEngine{clients: 3, rounds: 1, sink: &testSink{}, reducer: tier.reducer}
+		if _, err := runEngine(t, e, feed); !errors.Is(err, fl.ErrOutOfRange) {
+			t.Fatalf("%s strict: err = %v, want fl.ErrOutOfRange", tier.name, err)
+		}
+	}
+}
+
+// TestEngineAccumOverflowReported: when in-range contributions sum past
+// the exact accumulator (two 2^62 scalars), the round's partial is
+// poisoned and the flat and root reduce paths report fl.ErrAccumOverflow
+// — not a misleading "total weight 0".
+func TestEngineAccumOverflowReported(t *testing.T) {
+	sink := &testSink{}
+	e := &roundEngine{clients: 3, rounds: 1, deadline: 50 * time.Millisecond, minClients: 1, sink: sink}
+	_, err := runEngine(t, e, func(events chan<- event) {
+		for id := 0; id < 3; id++ {
+			events <- event{id: id, upd: &UpdateMsg{Round: 0, Payload: []float64{0x1p62, 1}, Weight: 1}}
+		}
+	})
+	if !errors.Is(err, fl.ErrAccumOverflow) {
+		t.Fatalf("flat: err = %v, want fl.ErrAccumOverflow", err)
+	}
+	if len(sink.commits) != 0 {
+		t.Fatalf("flat: a poisoned round committed: %+v", sink.commits)
+	}
+
+	e = &roundEngine{clients: 2, rounds: 1, deadline: 50 * time.Millisecond, minClients: 1,
+		sink: &testSink{}, partialTier: true}
+	_, err = runEngine(t, e, func(events chan<- event) {
+		for id := 0; id < 2; id++ {
+			events <- event{id: id, part: partialOf(t, 0, 0, [][]float64{{0x1p62, 1}}, []float64{1})}
+		}
+	})
+	if !errors.Is(err, fl.ErrAccumOverflow) {
+		t.Fatalf("root: err = %v, want fl.ErrAccumOverflow", err)
 	}
 }

@@ -236,11 +236,10 @@ func (r *Relay) Run(ctx context.Context) ([]float64, error) {
 		return nil, err
 	}
 	r.srv = srv
-	// The downward engine streams contributions into the exact accumulator
+	// The downward engine folds contributions into the exact accumulator
 	// and hands each closed round to reduceRound instead of reducing
 	// locally. Set before Run starts the engine; never touched after.
 	srv.reducer = r
-	srv.streaming = true
 
 	// A recovered downward checkpoint already holds a prefix of the root's
 	// history; the engine resumes after it, so adopted rounds before that

@@ -164,11 +164,10 @@ type Server struct {
 	recovered  bool
 	validator  *Validator
 
-	// reducer and streaming configure the engine's relay face: the relay
-	// installs its upstream partial-sum exchange (and streaming collection)
-	// between NewServer and Run, never concurrently with either.
-	reducer   roundReducer
-	streaming bool
+	// reducer configures the engine's relay face: the relay installs its
+	// upstream partial-sum exchange between NewServer and Run, never
+	// concurrently with either.
+	reducer roundReducer
 
 	// metrics/wireM/log are nil-safe instrumentation handles (no-ops
 	// unless ServerConfig injected a registry or logger).
@@ -733,11 +732,10 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 		sink:       s,
 		// On the root tier the peers are relays and each event carries one
 		// exact pre-aggregated partial sum; partialTier switches the engine
-		// to the streaming merge. On a relay the installed reducer replaces
+		// to the partial merge. On a relay the installed reducer replaces
 		// the local reduction with the upstream exchange.
 		partialTier: s.cfg.root(),
 		reducer:     s.reducer,
-		streaming:   s.streaming,
 		// Config-driven, not negotiation-driven: a q16-capable server
 		// quantizes commits whether or not any client negotiated q16, so
 		// the committed trajectory never depends on who happens to be
