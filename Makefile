@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: tier1 vet lint race fuzz crashtest bench hotpath wirebench telemetrybench scenarios scenariobench scalebench scalereport resumebench ci
+.PHONY: tier1 vet lint race fuzz crashtest perfbenchtest bench hotpath wirebench telemetrybench scenarios scenariobench scalebench scalereport resumebench ci
 
 # Tier-1 verify (see ROADMAP.md): must stay green on every commit.
 # -shuffle=on randomizes test order so hidden inter-test coupling fails
@@ -40,6 +40,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzSparseDecode$$' -fuzztime 10s
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzServerDecode$$' -fuzztime 10s
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzClientDecode$$' -fuzztime 10s
+	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzDurableDecode$$' -fuzztime 10s
 	$(GO) test ./internal/checkpoint/ -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 10s
 	$(GO) test ./internal/recon/ -run '^$$' -fuzz '^FuzzReconDecode$$' -fuzztime 10s
 
@@ -49,6 +50,12 @@ fuzz:
 # uninterrupted run.
 crashtest:
 	APF_CRASHTEST=1 $(GO) test ./internal/transport/ -run '^TestCrashRealSIGKILL$$' -v -timeout 8m
+
+# The round-level benchmark (perfbench/) is a Go module of its own that
+# imports wire and transport through a replace directive, so tier1 does
+# not compile it; vet and test it here (~30s on 2 cores).
+perfbenchtest:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Quick look at the round-critical benchmarks.
 bench:
@@ -60,12 +67,13 @@ bench:
 hotpath:
 	$(GO) run -buildvcs=true ./cmd/apfbench -hotpath BENCH_hotpath.json
 
-# Regenerate the tracked gob-vs-wire broadcast report, including the
-# sparse-codec arm across frozen fractions. The run itself enforces the
+# Regenerate the tracked wire report: encode-once broadcast cost across
+# client counts and the sparse-codec arm across frozen fractions
+# (-buildvcs stamps the commit into it). The run itself enforces the
 # regression gate: at frozen_frac 0.95 the lossless sparse reduction must
 # stay within 5% of the geometric ideal 20x, or the target fails.
 wirebench:
-	$(GO) run ./cmd/apfbench -wire BENCH_wire.json
+	$(GO) run -buildvcs=true ./cmd/apfbench -wire BENCH_wire.json
 
 # Regenerate the tracked telemetry-overhead report (instrumented vs nop
 # registry on the steady-state manager round).
@@ -107,4 +115,4 @@ scalereport:
 resumebench:
 	$(GO) run ./cmd/apfbench -resume BENCH_resume.json
 
-ci: tier1 vet lint race fuzz crashtest scenarios scalebench hotpath wirebench telemetrybench scalereport resumebench
+ci: tier1 vet lint race fuzz crashtest perfbenchtest scenarios scalebench hotpath wirebench telemetrybench scalereport resumebench

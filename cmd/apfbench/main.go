@@ -7,7 +7,7 @@
 //	apfbench -exp table2 -scale full    # paper-like scale (hours on CPU)
 //	apfbench -exp all -seed 7
 //	apfbench -hotpath BENCH_hotpath.json  # hot-path perf report
-//	apfbench -wire BENCH_wire.json        # gob vs wire broadcast report
+//	apfbench -wire BENCH_wire.json        # wire broadcast and sparse codec report
 //	apfbench -telemetry BENCH_telemetry.json  # telemetry overhead report
 //	apfbench -scenarios BENCH_scenarios.json  # adversary × network × data matrix
 //	apfbench -scenarios smoke.json -matrix smoke  # CI smoke subset
@@ -48,7 +48,7 @@ func run(args []string) error {
 		tsv     = fs.String("tsv", "", "directory to dump figure series as TSV files")
 		plot    = fs.Bool("plot", false, "render figures as terminal plots")
 		hotpath = fs.String("hotpath", "", "measure the APF hot-path benchmarks and write the JSON report to this file")
-		wirerep = fs.String("wire", "", "measure gob vs wire-format broadcast cost and write the JSON report to this file")
+		wirerep = fs.String("wire", "", "measure wire-format broadcast and sparse codec cost and write the JSON report to this file")
 		telem   = fs.String("telemetry", "", "measure the telemetry observer's hot-path overhead and write the JSON report to this file")
 		scen    = fs.String("scenarios", "", "run the adversary × network × data scenario matrix and write the JSON report to this file")
 		scaling = fs.String("scaling", "", "simulate the two-tier topology at 100k and 1M clients and write the JSON scaling report to this file (fails unless root work stays flat)")

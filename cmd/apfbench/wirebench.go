@@ -1,15 +1,15 @@
 package main
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"apf/internal/stats"
+	"apf/internal/telemetry"
 	"apf/internal/wire"
 )
 
@@ -19,18 +19,14 @@ const wirebenchDim = 1_000_000
 
 // wirebenchEntry is one client-count row of BENCH_wire.json. Bytes are per
 // round per client (the stream a single subscriber sees); broadcast times
-// are per round across all clients. EncodeNs is the wire format's one-off
-// serialization cost, which must not grow with the client count — the
-// encode-once fan-out is the point.
+// are per round across all clients. EncodeNs is the one-off serialization
+// cost and BroadcastNs adds the fan-out of that one frame to every
+// client: encode-once broadcast keeps the pair close as clients grow.
 type wirebenchEntry struct {
-	Clients          int     `json:"clients"`
-	GobBytesPerMsg   int64   `json:"gob_bytes_per_msg"`
-	WireBytesPerMsg  int64   `json:"wire_bytes_per_msg"`
-	BytesRatio       float64 `json:"wire_over_gob_bytes"`
-	GobBroadcastNs   float64 `json:"gob_broadcast_ns_per_round"`
-	WireBroadcastNs  float64 `json:"wire_broadcast_ns_per_round"`
-	WireEncodeNs     float64 `json:"wire_encode_ns_per_round"`
-	BroadcastSpeedup float64 `json:"broadcast_speedup"`
+	Clients         int     `json:"clients"`
+	WireBytesPerMsg int64   `json:"wire_bytes_per_msg"`
+	WireBroadcastNs float64 `json:"wire_broadcast_ns_per_round"`
+	WireEncodeNs    float64 `json:"wire_encode_ns_per_round"`
 }
 
 // sparsebenchEntry is one frozen-fraction row of the sparse codec arm:
@@ -51,8 +47,12 @@ type sparsebenchEntry struct {
 
 // wirebenchReport is the BENCH_wire.json document.
 type wirebenchReport struct {
-	GoVersion  string             `json:"go_version"`
+	Commit     string             `json:"commit"`   // VCS stamp: `make wirebench` passes -buildvcs=true
+	Modified   bool               `json:"modified"` // uncommitted changes in the measured tree
+	CPU        string             `json:"cpu"`
 	GOMAXPROCS int                `json:"gomaxprocs"`
+	Date       string             `json:"date"`
+	GoVersion  string             `json:"go_version"`
 	Dim        int                `json:"dim"`
 	Note       string             `json:"note"`
 	Broadcast  []wirebenchEntry   `json:"broadcast"`
@@ -69,9 +69,8 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// runWirebench compares the legacy per-session gob encoding against the
-// encode-once wire framing for GlobalMsg broadcast and writes the report
-// to path.
+// runWirebench measures the encode-once wire broadcast of a GlobalMsg and
+// the sparse codec arm, and writes the report to path.
 func runWirebench(path string) error {
 	// Fail fast on an unwritable path before spending time measuring.
 	probe, err := os.Create(path)
@@ -87,59 +86,28 @@ func runWirebench(path string) error {
 	}
 	msg := &wire.GlobalMsg{Round: 3, Payload: payload, Participants: 2}
 
+	bi := telemetry.ReadBuildInfo()
 	rep := wirebenchReport{
-		GoVersion:  runtime.Version(),
+		Commit:     bi.Revision,
+		Modified:   bi.Modified,
+		CPU:        cpuModel(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Date:       time.Now().UTC().Format(time.DateOnly),
+		GoVersion:  runtime.Version(),
 		Dim:        wirebenchDim,
-		Note:       "bytes are per round per client (steady-state stream); broadcast ns are per round across all clients; wire_encode_ns must stay flat as clients grow",
+		Note:       "bytes are per round per client (steady-state stream); ns are per round across all clients; wire_broadcast_ns_per_round (encode once + fan-out) must stay close to wire_encode_ns_per_round as clients grow",
 	}
 
 	for _, clients := range []int{2, 8, 32} {
 		fmt.Fprintf(os.Stderr, "wirebench: clients=%d\n", clients)
-		e := wirebenchEntry{Clients: clients}
-
-		// Steady-state gob bytes: the first message on a stream carries the
-		// type descriptors, so warm each encoder once and count the second
-		// message — that is what every subsequent round costs.
-		{
-			var buf bytes.Buffer
-			enc := gob.NewEncoder(&buf)
-			if err := enc.Encode(msg); err != nil {
-				return err
-			}
-			buf.Reset()
-			if err := enc.Encode(msg); err != nil {
-				return err
-			}
-			e.GobBytesPerMsg = int64(buf.Len())
-		}
-		e.WireBytesPerMsg = int64(len(wire.Encode(msg)))
-		e.BytesRatio = float64(e.WireBytesPerMsg) / float64(e.GobBytesPerMsg)
-
-		// Legacy broadcast: one persistent gob encoder per session, the
-		// message re-encoded into every stream each round.
+		e := wirebenchEntry{Clients: clients, WireBytesPerMsg: int64(len(wire.Encode(msg)))}
 		sinks := make([]*countingWriter, clients)
-		encs := make([]*gob.Encoder, clients)
-		for i := range encs {
+		for i := range sinks {
 			sinks[i] = &countingWriter{}
-			encs[i] = gob.NewEncoder(sinks[i])
-			if err := encs[i].Encode(msg); err != nil { // warm descriptors
-				return err
-			}
 		}
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, enc := range encs {
-					if err := enc.Encode(msg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		e.GobBroadcastNs = float64(r.NsPerOp())
 
-		// Wire broadcast: encode once, hand the same frame to every sink.
-		r = testing.Benchmark(func(b *testing.B) {
+		// Encode once, hand the same frame to every sink.
+		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				frame := wire.Encode(msg)
 				for _, w := range sinks {
@@ -157,7 +125,6 @@ func runWirebench(path string) error {
 			}
 		})
 		e.WireEncodeNs = float64(r.NsPerOp())
-		e.BroadcastSpeedup = e.GobBroadcastNs / e.WireBroadcastNs
 		rep.Broadcast = append(rep.Broadcast, e)
 	}
 

@@ -92,19 +92,6 @@ func (b *BitSet) Clone() *BitSet {
 	return c
 }
 
-// Equal reports whether b and o have identical length and contents.
-func (b *BitSet) Equal(o *BitSet) bool {
-	if b.n != o.n {
-		return false
-	}
-	for i, w := range b.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Words exposes the raw backing words (read-only use, e.g. serialization).
 func (b *BitSet) Words() []uint64 { return b.words }
 

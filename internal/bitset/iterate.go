@@ -10,29 +10,6 @@ import "math/bits"
 // allOnes is a fully set word.
 const allOnes = ^uint64(0)
 
-// NextSet returns the index of the first set bit at or after i, or -1 when
-// no set bit remains.
-func (b *BitSet) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= b.n {
-		return -1
-	}
-	wi := i / wordBits
-	// Mask off the bits below i in the first candidate word.
-	w := b.words[wi] >> (i % wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(b.words); wi++ {
-		if w := b.words[wi]; w != 0 {
-			return wi*wordBits + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
 // IterateSet calls fn for every set bit in ascending order.
 func (b *BitSet) IterateSet(fn func(i int)) {
 	for wi, w := range b.words {
@@ -58,21 +35,6 @@ func (b *BitSet) IterateClear(fn func(i int)) {
 			inv &= inv - 1
 		}
 	}
-}
-
-// WordCount returns the number of backing words.
-func (b *BitSet) WordCount() int { return len(b.words) }
-
-// AnyInWord reports whether backing word wi contains any set bit.
-func (b *BitSet) AnyInWord(wi int) bool { return b.words[wi] != 0 }
-
-// SetWord overwrites backing word wi. Bits beyond Len in the final word
-// must be zero; they are cleared defensively.
-func (b *BitSet) SetWord(wi int, w uint64) {
-	if wi == len(b.words)-1 && b.n%wordBits != 0 {
-		w &= allOnes >> (wordBits - b.n%wordBits)
-	}
-	b.words[wi] = w
 }
 
 // tailMask returns the valid-bit mask of the final word (allOnes when the

@@ -6,8 +6,9 @@
 //     snapshot is bit-identical to the encoded state;
 //   - a codec for the irreplaceable server-side state: the APF manager
 //     snapshot (core.State — EMAs, freezing periods, AIMD state,
-//     threshold, round/check counters). An in-flight round needs none: it
-//     is rebuilt from the WAL's logged updates on recovery;
+//     threshold, round/check counters, per-word generations). An
+//     in-flight round needs none: it is never persisted, and after a
+//     crash the peers re-send it;
 //   - a Store that persists a coordinator as an atomically rotated
 //     snapshot plus an append-only, fsync'd write-ahead log, and recovers
 //     the newest consistent (snapshot, WAL-suffix) pair after a crash,

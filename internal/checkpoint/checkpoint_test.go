@@ -174,6 +174,7 @@ func testManagerState() *core.State {
 		Initialized: true,
 		InitRound:   1,
 		LastRound:   11,
+		WordGen:     []uint32{12},
 	}
 }
 

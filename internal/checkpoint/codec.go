@@ -29,8 +29,6 @@ func EncodeManager(s *core.State) []byte {
 	w.Bool(s.Initialized)
 	w.Int(s.InitRound)
 	w.Int(s.LastRound)
-	// Optional tail (absent in pre-reconciliation frames): the per-word
-	// generation vector.
 	gens := make([]int, len(s.WordGen))
 	for i, g := range s.WordGen {
 		gens[i] = int(g)
@@ -72,20 +70,18 @@ func DecodeManager(buf []byte) (*core.State, error) {
 	s.Initialized = r.Bool()
 	s.InitRound = r.Int()
 	s.LastRound = r.Int()
-	if r.Err() == nil && r.Remaining() > 0 {
-		gens := r.Ints()
-		if len(gens) > 0 {
-			s.WordGen = make([]uint32, len(gens))
-			for i, g := range gens {
-				if g < 0 || g > 1<<32-1 {
-					return nil, fmt.Errorf("%w: word generation %d out of range", ErrCorrupt, g)
-				}
-				s.WordGen[i] = uint32(g)
-			}
-		}
-	}
+	gens := r.Ints()
 	if err := r.Done(); err != nil {
 		return nil, err
+	}
+	if len(gens) > 0 {
+		s.WordGen = make([]uint32, len(gens))
+		for i, g := range gens {
+			if g < 0 || g > 1<<32-1 {
+				return nil, fmt.Errorf("%w: word generation %d out of range", ErrCorrupt, g)
+			}
+			s.WordGen[i] = uint32(g)
+		}
 	}
 	return s, nil
 }

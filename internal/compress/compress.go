@@ -126,7 +126,6 @@ type Gaia struct {
 	lastGlobal  []float64
 	residual    []float64
 	initialized bool
-	lastPushed  int
 }
 
 var _ fl.SyncManager = (*Gaia)(nil)
@@ -187,7 +186,6 @@ func (m *Gaia) PrepareUpload(round int, x []float64) ([]float64, float64, int64)
 			m.residual[j] = u
 		}
 	}
-	m.lastPushed = sent
 	return contrib, 1, int64(sent) * (m.bytesPerValue + 4)
 }
 
@@ -198,9 +196,6 @@ func (m *Gaia) ApplyDownload(_ int, x, global []float64) int64 {
 	copy(m.lastGlobal, global)
 	return int64(m.dim) * m.bytesPerValue
 }
-
-// LastPushedCount reports how many scalars the previous round pushed.
-func (m *Gaia) LastPushedCount() int { return m.lastPushed }
 
 // CMFL reimplements the CMFL baseline (Wang et al., ICDCS'19) as described
 // in the paper: a client pushes its full local update only when the
@@ -218,7 +213,6 @@ type CMFL struct {
 	globalDelta []float64
 	haveDelta   bool
 	initialized bool
-	lastSent    bool
 }
 
 var _ fl.SyncManager = (*CMFL)(nil)
@@ -266,7 +260,6 @@ func (m *CMFL) PrepareUpload(round int, x []float64) ([]float64, float64, int64)
 		}
 		send = float64(agree)/float64(m.dim) >= thr
 	}
-	m.lastSent = send
 	contrib := append([]float64(nil), x...)
 	if !send {
 		return contrib, 0, 0
@@ -284,9 +277,6 @@ func (m *CMFL) ApplyDownload(_ int, x, global []float64) int64 {
 	copy(x, global)
 	return int64(m.dim) * m.bytesPerValue
 }
-
-// LastSent reports whether the previous round's update was pushed.
-func (m *CMFL) LastSent() bool { return m.lastSent }
 
 // Quantized wraps another manager and transmits every value in IEEE
 // binary16 instead of binary32, halving the value bytes in both phases and

@@ -22,7 +22,6 @@ type TopK struct {
 	lastGlobal  []float64
 	residual    []float64
 	initialized bool
-	lastPushed  int
 }
 
 var _ fl.SyncManager = (*TopK)(nil)
@@ -100,7 +99,6 @@ func (m *TopK) PrepareUpload(_ int, x []float64) ([]float64, float64, int64) {
 			m.residual[j] = u[j]
 		}
 	}
-	m.lastPushed = k
 	return contrib, 1, int64(k) * (m.bytesPerValue + 4)
 }
 
@@ -110,6 +108,3 @@ func (m *TopK) ApplyDownload(_ int, x, global []float64) int64 {
 	copy(m.lastGlobal, global)
 	return int64(m.dim) * m.bytesPerValue
 }
-
-// LastPushedCount reports how many components the previous round pushed.
-func (m *TopK) LastPushedCount() int { return m.lastPushed }

@@ -67,9 +67,7 @@ func (s *MaskServer) observe(round int, global []float64) (changed []int, frozen
 
 	next := make([]bool, s.manager.cfg.Dim)
 	s.manager.refreshMask(round + 1)
-	for j := 0; j < s.manager.cfg.Dim; j++ {
-		next[j] = s.manager.mask.Get(j)
-	}
+	s.manager.mask.IterateSet(func(j int) { next[j] = true })
 
 	var delta []int
 	for j := range next {

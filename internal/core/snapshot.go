@@ -25,10 +25,8 @@ type State struct {
 	// LastRound is the most recent round observed by ApplyDownload (-1
 	// before the first download).
 	LastRound int
-	// WordGen is the per-word generation vector (see recon.go). Nil in
-	// snapshots predating reconciliation; restore then stamps every
-	// word with the last observed round, which over-reports the diff
-	// (conservative: extra words reconcile, none are missed).
+	// WordGen is the per-word generation vector (see recon.go), one
+	// entry per 64-scalar mask word.
 	WordGen []uint32
 }
 
@@ -97,7 +95,7 @@ func (m *Manager) RestoreSnapshot(s *State) error {
 			return fmt.Errorf("core: snapshot field %s has length %d, want %d", name, n, s.Dim)
 		}
 	}
-	if s.WordGen != nil && len(s.WordGen) != len(m.wordGen) {
+	if len(s.WordGen) != len(m.wordGen) {
 		return fmt.Errorf("core: snapshot word-gen length %d, want %d", len(s.WordGen), len(m.wordGen))
 	}
 	tracker, err := perturb.RestoreEMATracker(s.Tracker)
@@ -119,24 +117,7 @@ func (m *Manager) RestoreSnapshot(s *State) error {
 	m.initialized = s.Initialized
 	m.initRound = s.InitRound
 	m.lastRound = s.LastRound
-	if !s.Initialized {
-		m.lastRound = -1 // snapshots predating LastRound decode it as 0
-	}
-	switch {
-	case s.WordGen != nil:
-		copy(m.wordGen, s.WordGen)
-	case s.Initialized:
-		// Legacy snapshot: stamp everything as last-touched now so a
-		// later reconciliation over-reports rather than misses.
-		g := uint32(s.LastRound + 1)
-		for w := range m.wordGen {
-			m.wordGen[w] = g
-		}
-	default:
-		for w := range m.wordGen {
-			m.wordGen[w] = 0
-		}
-	}
+	copy(m.wordGen, s.WordGen)
 	m.maskRound = -1
 	return nil
 }

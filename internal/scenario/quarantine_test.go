@@ -105,8 +105,8 @@ func TestQuarantineSurvivesKillRestart(t *testing.T) {
 	if kadv.Strikes != padv.Strikes {
 		t.Errorf("restored strikes = %d, want %d", kadv.Strikes, padv.Strikes)
 	}
-	// Snapshots carry the quarantine round since the validator state grew
-	// its optional tail; the restored record matches the uninterrupted one.
+	// Snapshots carry the quarantine round; the restored record matches
+	// the uninterrupted one.
 	if kadv.QuarantineRound != padv.QuarantineRound {
 		t.Errorf("restored quarantine round = %d, want %d", kadv.QuarantineRound, padv.QuarantineRound)
 	}

@@ -1,7 +1,7 @@
 package transport
 
 // O(diff) resume: when a client's round has fallen off the server's
-// bounded replay history (ServerConfig.HistoryRounds), the wire-v4
+// bounded replay history (ServerConfig.HistoryRounds), the wire
 // catch-up sub-protocol replaces the full-history replay. The server
 // keeps a shadow replica of the clients' deterministic manager state —
 // the manager is a pure function of the committed global trajectory, so
@@ -135,8 +135,13 @@ func (sh *shadow) observe(g *GlobalMsg) {
 }
 
 // restore overwrites the replica from a snapshot frame (a relay
-// adopting the root's state after its own catch-up).
+// adopting the root's state after its own catch-up, or a recovered server
+// snapshot). A model of the wrong length is refused rather than leaving
+// part of the replica stale.
 func (sh *shadow) restore(round int, payload []float64, manager []byte) error {
+	if len(payload) != len(sh.x) {
+		return fmt.Errorf("transport: shadow snapshot model has %d scalars, want %d", len(payload), len(sh.x))
+	}
 	st, err := checkpoint.DecodeManager(manager)
 	if err != nil {
 		return err

@@ -73,7 +73,7 @@ type ClientConfig struct {
 	// connect timeout.
 	Dial DialFunc
 	// Codec is the strongest payload codec this client offers
-	// (wire.CodecDense requests the v1 dense kinds). Its capability bits go
+	// (wire.CodecDense requests the dense kinds). Its capability bits go
 	// out in the Join; the server's Welcome answers with the negotiated
 	// codec, never stronger than offered. Sparse codecs require a manager
 	// implementing fl.CompactCodec and fl.MaskReporter — negotiation
@@ -313,7 +313,7 @@ func (r *clientRun) session(ctx context.Context) error {
 	}
 
 	// The server evicted this client's round from its replay history: the
-	// Welcome carries no Missed list and the connection enters the wire-v4
+	// Welcome carries no Missed list and the connection enters the
 	// catch-up conversation instead (sketch reconciliation when both sides
 	// track word generations, snapshot otherwise). Either way the client
 	// lands bit-identical to the replayed trajectory.

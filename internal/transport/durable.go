@@ -8,25 +8,29 @@ import (
 )
 
 // Checkpoint frame kinds used by the server, in the KindUser space of
-// package checkpoint.
+// package checkpoint. The values are pinned: they are on disk.
 const (
 	// kindServerSnap frames a full server snapshot: geometry, session
 	// table, aggregate history, accounting.
-	kindServerSnap = checkpoint.KindUser + iota
-	// kindWALUpdate records one accepted UpdateMsg (client id + message).
-	kindWALUpdate
+	kindServerSnap = checkpoint.KindUser
 	// kindWALGlobal records one emitted GlobalMsg — the commit record of
-	// its round. A round is durable exactly when its global record is.
-	kindWALGlobal
-	// kindWALSparseUpdate records one accepted SparseUpdateMsg (client id +
-	// message), used when the update arrived on a sparse session. Like
-	// kindWALUpdate records it belongs to the round left open by a crash
-	// and is discarded at recovery.
-	kindWALSparseUpdate
-	// kindWALPartial records one accepted relay PartialUpdateMsg (relay id +
-	// message) on the hierarchy's root tier. In-flight like kindWALUpdate:
-	// discarded at recovery, repopulated by the relays' idempotent re-sends.
-	kindWALPartial
+	// its round and the WAL's only record kind. A round is durable exactly
+	// when its global record is.
+	kindWALGlobal = checkpoint.KindUser + 2
+)
+
+// Typed recovery failures. Each also matches checkpoint.ErrCorrupt: a
+// snapshot that fails one was not written by this build's server.
+var (
+	// ErrShadowLength marks a snapshot whose shadow-replica model length
+	// differs from the model dimension.
+	ErrShadowLength = fmt.Errorf("%w: shadow replica length differs from the model dimension", checkpoint.ErrCorrupt)
+	// ErrShadowRound marks a snapshot whose shadow replica claims a round
+	// past the last committed one.
+	ErrShadowRound = fmt.Errorf("%w: shadow replica round past the last committed round", checkpoint.ErrCorrupt)
+	// ErrQuarantineRounds marks a snapshot whose validator quarantine
+	// rounds do not cover exactly the cluster.
+	ErrQuarantineRounds = fmt.Errorf("%w: quarantine rounds do not cover the cluster", checkpoint.ErrCorrupt)
 )
 
 // serverState is the decoded form of a server snapshot: everything a
@@ -50,11 +54,9 @@ type serverState struct {
 	// gate armed across a restart; granularity is the snapshot cadence —
 	// strikes charged since the last rotation are lost with the crash.
 	Validator *validatorState
-	// Catch-up tail (optional — absent in snapshots written before bounded
-	// history existed, which decode with base 0 and no shadow). HistoryBase
-	// is the round of History[0]; ShadowRound/Shadow/ShadowX persist the
-	// catch-up shadow replica (round -1 and empty when none was usable at
-	// snapshot time).
+	// Catch-up state. HistoryBase is the round of History[0];
+	// ShadowRound/Shadow/ShadowX persist the catch-up shadow replica
+	// (round -1 and empty when none was usable at snapshot time).
 	HistoryBase int
 	ShadowRound int
 	Shadow      []byte
@@ -62,17 +64,13 @@ type serverState struct {
 }
 
 // validatorState is the durable slice of a Validator: strike counters,
-// quarantine flags, and the rolling accepted-norm history (chronological,
-// oldest first). The cosine-gate fields (reference direction, its commit
-// count, quarantine rounds) ride as an optional tail so snapshots written
-// before the gate existed still decode: a legacy snapshot restores with
-// an empty reference (the gate re-arms from fresh commits) and -1
-// quarantine-round sentinels.
+// quarantine flags and rounds, the rolling accepted-norm history
+// (chronological, oldest first), and the cosine gate's reference
+// direction with its commit count.
 type validatorState struct {
-	Strikes []int
-	Quar    []bool
-	Norms   []float64
-	// Optional tail (absent in legacy snapshots; QuarRound nil there).
+	Strikes   []int
+	Quar      []bool
+	Norms     []float64
 	Ref       []float64
 	RefCount  int
 	QuarRound []int
@@ -107,8 +105,6 @@ func encodeServerState(s *serverState) []byte {
 		w.Int(v.RefCount)
 		w.Ints(v.QuarRound)
 	}
-	// Catch-up tail (always written; optional on decode for forward
-	// compatibility with pre-eviction snapshots).
 	w.Int(s.HistoryBase)
 	w.Int(s.ShadowRound)
 	w.String(string(s.Shadow))
@@ -149,96 +145,27 @@ func decodeServerState(payload []byte) (*serverState, error) {
 			v.Quar = append(v.Quar, r.Bool())
 		}
 		v.Norms = r.F64s()
-		if r.Err() == nil && r.Remaining() > 0 {
-			v.Ref = r.F64s()
-			v.RefCount = r.Int()
-			v.QuarRound = r.Ints()
-		}
+		v.Ref = r.F64s()
+		v.RefCount = r.Int()
+		v.QuarRound = r.Ints()
 		s.Validator = v
 	}
-	// Catch-up tail: absent in pre-eviction snapshots, which decode with
-	// an unevicted history (base 0) and no shadow.
-	s.ShadowRound = -1
-	if r.Err() == nil && r.Remaining() > 0 {
-		s.HistoryBase = r.Int()
-		s.ShadowRound = r.Int()
-		if b := r.String(); b != "" {
-			s.Shadow = []byte(b)
-		}
-		s.ShadowX = r.F64s()
-		if r.Err() == nil && s.HistoryBase < 0 {
-			return nil, fmt.Errorf("%w: negative history base %d", checkpoint.ErrCorrupt, s.HistoryBase)
-		}
+	s.HistoryBase = r.Int()
+	s.ShadowRound = r.Int()
+	if b := r.String(); b != "" {
+		s.Shadow = []byte(b)
 	}
+	s.ShadowX = r.F64s()
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	if len(s.Keys) != len(s.Names) {
 		return nil, fmt.Errorf("%w: inconsistent session table", checkpoint.ErrCorrupt)
 	}
+	if s.HistoryBase < 0 {
+		return nil, fmt.Errorf("%w: negative history base %d", checkpoint.ErrCorrupt, s.HistoryBase)
+	}
 	return s, nil
-}
-
-// encodeWALUpdate frames one accepted update for the WAL: the client id
-// followed by the message body in its wire encoding, so the WAL and the
-// socket share one codec (and one set of codec tests).
-func encodeWALUpdate(clientID int, u *UpdateMsg) []byte {
-	var w checkpoint.Writer
-	w.Int(clientID)
-	wire.AppendUpdateBody(&w, u)
-	return w.Bytes()
-}
-
-// decodeWALUpdate reads an update record back.
-func decodeWALUpdate(payload []byte) (clientID int, u *UpdateMsg, err error) {
-	r := checkpoint.NewReader(payload)
-	clientID = r.Int()
-	msg := wire.ReadUpdateBody(r)
-	if err := r.Done(); err != nil {
-		return 0, nil, err
-	}
-	return clientID, &msg, nil
-}
-
-// encodeWALSparseUpdate frames one accepted sparse update for the WAL, in
-// the same body encoding the socket uses.
-func encodeWALSparseUpdate(clientID int, u *SparseUpdateMsg) []byte {
-	var w checkpoint.Writer
-	w.Int(clientID)
-	wire.AppendSparseUpdateBody(&w, u)
-	return w.Bytes()
-}
-
-// decodeWALSparseUpdate reads a sparse update record back.
-func decodeWALSparseUpdate(payload []byte) (clientID int, u *SparseUpdateMsg, err error) {
-	r := checkpoint.NewReader(payload)
-	clientID = r.Int()
-	msg := wire.ReadSparseUpdateBody(r)
-	if err := r.Done(); err != nil {
-		return 0, nil, err
-	}
-	return clientID, &msg, nil
-}
-
-// encodeWALPartial frames one accepted relay partial sum for the WAL, in
-// the same body encoding the socket uses (relay id first, mirroring the
-// update records).
-func encodeWALPartial(relayID int, p *PartialUpdateMsg) []byte {
-	var w checkpoint.Writer
-	w.Int(relayID)
-	wire.AppendPartialUpdateBody(&w, p)
-	return w.Bytes()
-}
-
-// decodeWALPartial reads a partial record back.
-func decodeWALPartial(payload []byte) (relayID int, p *PartialUpdateMsg, err error) {
-	r := checkpoint.NewReader(payload)
-	relayID = r.Int()
-	msg := wire.ReadPartialUpdateBody(r)
-	if err := r.Done(); err != nil {
-		return 0, nil, err
-	}
-	return relayID, &msg, nil
 }
 
 // encodeWALGlobal frames one emitted aggregate for the WAL, in the same
@@ -261,10 +188,11 @@ func decodeWALGlobal(payload []byte) (*GlobalMsg, error) {
 
 // recoverState loads the newest consistent snapshot from the store and
 // rolls its WAL forward: global records extend the aggregate history in
-// round order; update and partial records belong to the round left open by
-// the crash and are discarded — the round re-opens and the idempotent
-// client (or relay) re-send repopulates it. Returns nil state when the
-// store is empty. rootTier disables the partial-round re-derivation for
+// round order. The round left open by the crash was never logged — it
+// re-opens and the idempotent client (or relay) re-sends repopulate it.
+// A record of any other kind was not written by this build and fails
+// recovery with checkpoint.ErrCorrupt. Returns nil state when the store is
+// empty. rootTier disables the partial-round re-derivation for
 // rolled-forward globals: on the root tier Participants counts underlying
 // clients while NumClients counts relays, so the comparison is meaningless
 // there (the live commit path records the flag correctly either way).
@@ -284,27 +212,22 @@ func recoverState(store *checkpoint.Store, rootTier bool) (*serverState, error) 
 		return nil, fmt.Errorf("transport: decode snapshot: %w", err)
 	}
 	for _, rec := range wal {
-		switch rec.Kind {
-		case kindWALGlobal:
-			g, err := decodeWALGlobal(rec.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("transport: decode wal global: %w", err)
-			}
-			if g.Round != st.HistoryBase+len(st.History) {
-				// Replays of rounds the snapshot already holds (or gaps,
-				// which cannot happen with ordered appends) are skipped
-				// rather than corrupting the history.
-				continue
-			}
-			st.History = append(st.History, *g)
-			if !rootTier && g.Participants < st.NumClients {
-				st.PartialRounds++
-			}
-		case kindWALUpdate, kindWALSparseUpdate, kindWALPartial:
-			// In-flight contribution of the re-opened round: discarded.
-		default:
-			// Unknown record kinds from a newer writer are skipped; the
-			// commit records above are self-contained.
+		if rec.Kind != kindWALGlobal {
+			return nil, fmt.Errorf("transport: %w: wal record kind %d, want %d", checkpoint.ErrCorrupt, rec.Kind, kindWALGlobal)
+		}
+		g, err := decodeWALGlobal(rec.Payload)
+		if err != nil {
+			return nil, fmt.Errorf("transport: decode wal global: %w", err)
+		}
+		if g.Round != st.HistoryBase+len(st.History) {
+			// Replays of rounds the snapshot already holds (or gaps,
+			// which cannot happen with ordered appends) are skipped
+			// rather than corrupting the history.
+			continue
+		}
+		st.History = append(st.History, *g)
+		if !rootTier && g.Participants < st.NumClients {
+			st.PartialRounds++
 		}
 	}
 	return st, nil
@@ -332,9 +255,20 @@ func verifyRecovered(st *serverState, cfg ServerConfig) error {
 		return fmt.Errorf("transport: checkpoint history reaches round %d of a %d-round run",
 			st.HistoryBase+len(st.History), st.Rounds)
 	}
-	if v := st.Validator; v != nil && (len(v.Strikes) != st.NumClients || len(v.Quar) != st.NumClients) {
-		return fmt.Errorf("transport: checkpoint validator state covers %d strike / %d quarantine entries for %d clients",
-			len(v.Strikes), len(v.Quar), st.NumClients)
+	if v := st.Validator; v != nil {
+		if len(v.Strikes) != st.NumClients || len(v.Quar) != st.NumClients {
+			return fmt.Errorf("transport: checkpoint validator state covers %d strike / %d quarantine entries for %d clients",
+				len(v.Strikes), len(v.Quar), st.NumClients)
+		}
+		if len(v.QuarRound) != st.NumClients {
+			return fmt.Errorf("transport: %w: %d entries for %d clients", ErrQuarantineRounds, len(v.QuarRound), st.NumClients)
+		}
+	}
+	if last := st.HistoryBase + len(st.History) - 1; st.ShadowRound < -1 || st.ShadowRound > last {
+		return fmt.Errorf("transport: %w: shadow round %d, last committed %d", ErrShadowRound, st.ShadowRound, last)
+	}
+	if st.ShadowRound >= 0 && len(st.ShadowX) != len(st.Init) {
+		return fmt.Errorf("transport: %w: %d scalars for dimension %d", ErrShadowLength, len(st.ShadowX), len(st.Init))
 	}
 	return nil
 }

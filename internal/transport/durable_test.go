@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -18,8 +20,8 @@ import (
 	"apf/internal/stats"
 )
 
-// TestServerStateCodecRoundTrip round-trips the server snapshot and both
-// WAL record codecs bit-exactly.
+// TestServerStateCodecRoundTrip round-trips the server snapshot and the
+// WAL commit record bit-exactly, and refuses the older snapshot layouts.
 func TestServerStateCodecRoundTrip(t *testing.T) {
 	st := &serverState{
 		NumClients:    3,
@@ -29,8 +31,8 @@ func TestServerStateCodecRoundTrip(t *testing.T) {
 		Names:         []string{"a", "b", "c"},
 		PartialRounds: 2,
 		History: []GlobalMsg{
-			{Round: 0, Participants: 3, Payload: []float64{1, 2, 3}},
-			{Round: 1, Participants: 2, Payload: []float64{4, 5}},
+			{Round: 2, Participants: 3, Payload: []float64{1, 2, 3}},
+			{Round: 3, Participants: 2, Payload: []float64{4, 5}},
 		},
 		Validator: &validatorState{
 			Strikes:   []int{0, 2, 5},
@@ -40,6 +42,10 @@ func TestServerStateCodecRoundTrip(t *testing.T) {
 			RefCount:  7,
 			QuarRound: []int{-1, -1, 4},
 		},
+		HistoryBase: 2,
+		ShadowRound: 3,
+		Shadow:      []byte{0xde, 0xad},
+		ShadowX:     []float64{7, 8, 9},
 	}
 	got, err := decodeServerState(encodeServerState(st))
 	if err != nil {
@@ -57,33 +63,10 @@ func TestServerStateCodecRoundTrip(t *testing.T) {
 		t.Fatalf("nil-validator round trip: %+v err=%v", got.Validator, err)
 	}
 
-	// A legacy snapshot — written before the cosine gate — ends after the
-	// norm history. It must still decode, with the tail fields empty.
-	var w checkpoint.Writer
-	w.Int(1)             // NumClients
-	w.Int(2)             // Rounds
-	w.F64s(nil)          // Init
-	w.Int(0)             // sessions
-	w.Int(0)             // history
-	w.Int(0)             // PartialRounds
-	w.Bool(true)         // validator present
-	w.Ints([]int{3})     // Strikes
-	w.Int(1)             // quarantine flags
-	w.Bool(true)         //
-	w.F64s([]float64{2}) // Norms — legacy payload ends here
-	legacy, err := decodeServerState(w.Bytes())
-	if err != nil {
-		t.Fatalf("decode legacy server state: %v", err)
-	}
-	v := legacy.Validator
-	if v == nil || v.Ref != nil || v.RefCount != 0 || v.QuarRound != nil {
-		t.Fatalf("legacy validator state grew tail fields: %+v", v)
-	}
-
-	u := &UpdateMsg{Round: 7, Weight: 30, MaskHash: 0xdeadbeef, Payload: []float64{1, -2}}
-	id, gotU, err := decodeWALUpdate(encodeWALUpdate(2, u))
-	if err != nil || id != 2 || !reflect.DeepEqual(gotU, u) {
-		t.Fatalf("wal update round trip: id=%d u=%+v err=%v", id, gotU, err)
+	for name, payload := range oldServerSnapshots() {
+		if _, err := decodeServerState(payload); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Fatalf("%s: got %v, want checkpoint.ErrCorrupt", name, err)
+		}
 	}
 
 	g := &GlobalMsg{Round: 4, Participants: 3, Payload: []float64{9, 8, 7}}
@@ -93,10 +76,37 @@ func TestServerStateCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// oldServerSnapshots hand-builds the snapshot layouts earlier builds
+// wrote for a 1-client, 2-round, 1-dim run: before the cosine gate (the
+// validator ends after its norms), and before bounded history (no
+// catch-up state).
+func oldServerSnapshots() map[string][]byte {
+	head := func(w *checkpoint.Writer) {
+		w.Int(1)             // NumClients
+		w.Int(2)             // Rounds
+		w.F64s([]float64{0}) // Init
+		w.Int(1)             // sessions
+		w.String("k0")
+		w.String("c0")
+		w.Int(0) // history
+		w.Int(0) // PartialRounds
+	}
+	var preCosine checkpoint.Writer
+	head(&preCosine)
+	preCosine.Bool(true)             // validator present
+	preCosine.Ints([]int{3})         // Strikes
+	preCosine.Int(1)                 // quarantine flags
+	preCosine.Bool(true)             //
+	preCosine.F64s([]float64{2})     // Norms — this layout ends here
+	var preCatchUp checkpoint.Writer // validator off, no catch-up state
+	head(&preCatchUp)
+	preCatchUp.Bool(false)
+	return map[string][]byte{"pre-cosine": preCosine.Bytes(), "pre-catch-up": preCatchUp.Bytes()}
+}
+
 // TestRecoverStateReplaysWAL builds a store by hand and checks recovery
-// semantics: committed globals extend the history in order, the open
-// round's update records are discarded, replays and unknown kinds are
-// skipped.
+// semantics: committed globals extend the history in order and replays
+// of a round the history already holds are skipped.
 func TestRecoverStateReplaysWAL(t *testing.T) {
 	store, err := checkpoint.Open(t.TempDir())
 	if err != nil {
@@ -105,32 +115,28 @@ func TestRecoverStateReplaysWAL(t *testing.T) {
 	defer store.Close()
 
 	base := &serverState{
-		NumClients: 2,
-		Rounds:     10,
-		Init:       []float64{1, 2},
-		Keys:       []string{"k0", "k1"},
-		Names:      []string{"c0", "c1"},
-		History:    []GlobalMsg{{Round: 0, Participants: 2, Payload: []float64{3, 4}}},
+		NumClients:  2,
+		Rounds:      10,
+		Init:        []float64{1, 2},
+		Keys:        []string{"k0", "k1"},
+		Names:       []string{"c0", "c1"},
+		History:     []GlobalMsg{{Round: 0, Participants: 2, Payload: []float64{3, 4}}},
+		ShadowRound: -1,
 	}
 	if err := store.WriteSnapshot(1, kindServerSnap, encodeServerState(base)); err != nil {
 		t.Fatal(err)
 	}
-	append_ := func(kind uint16, payload []byte) {
+	append_ := func(g *GlobalMsg) {
 		t.Helper()
-		if err := store.Append(kind, payload); err != nil {
+		if err := store.Append(kindWALGlobal, encodeWALGlobal(g)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Round 1 fully committed: updates then the global.
-	append_(kindWALUpdate, encodeWALUpdate(0, &UpdateMsg{Round: 1, Weight: 1, Payload: []float64{5, 6}}))
-	append_(kindWALUpdate, encodeWALUpdate(1, &UpdateMsg{Round: 1, Weight: 1, Payload: []float64{7, 8}}))
-	append_(kindWALGlobal, encodeWALGlobal(&GlobalMsg{Round: 1, Participants: 1, Payload: []float64{6, 7}}))
+	// Round 1 committed with one of two participants.
+	append_(&GlobalMsg{Round: 1, Participants: 1, Payload: []float64{6, 7}})
 	// A replayed commit of round 1 (already in history) must be skipped.
-	append_(kindWALGlobal, encodeWALGlobal(&GlobalMsg{Round: 1, Participants: 2, Payload: []float64{0, 0}}))
-	// An unknown record kind from a future writer must be skipped.
-	append_(kindWALGlobal+10, []byte("mystery"))
-	// Round 2 was in flight at the crash: one update, no commit.
-	append_(kindWALUpdate, encodeWALUpdate(0, &UpdateMsg{Round: 2, Weight: 1, Payload: []float64{9, 9}}))
+	append_(&GlobalMsg{Round: 1, Participants: 2, Payload: []float64{0, 0}})
+	// Round 2 was in flight at the crash: nothing of it reached the WAL.
 
 	st, err := recoverState(store, false)
 	if err != nil {
@@ -165,51 +171,161 @@ func TestRecoverStateReplaysWAL(t *testing.T) {
 	}
 }
 
-// TestWALPartialRecords pins the root tier's WAL semantics: relay partial
-// records round-trip through the shared body encoding, at recovery they
-// are in-flight state (discarded, repopulated by the relays' idempotent
-// re-sends), and the partial-round re-derivation stays off on the root
-// tier, where Participants counts underlying clients while NumClients
-// counts relays.
-func TestWALPartialRecords(t *testing.T) {
-	p := &PartialUpdateMsg{Round: 3, Count: 17, WeightLo: 21, WeightHi: 1,
-		MaskHash: 0xfeedface, Cols: []uint64{1, 2, 3, 4}}
-	id, got, err := decodeWALPartial(encodeWALPartial(1, p))
-	if err != nil || id != 1 || !reflect.DeepEqual(got, p) {
-		t.Fatalf("wal partial round trip: id=%d p=%+v err=%v", id, got, err)
+// TestVerifyRecoveredCatchUpState: a snapshot whose catch-up or
+// quarantine state does not fit the run it claims is refused with a
+// typed error instead of restoring part of a replica.
+func TestVerifyRecoveredCatchUpState(t *testing.T) {
+	cfg := ServerConfig{NumClients: 2, Rounds: 10, Init: []float64{1, 2}}
+	good := func() *serverState {
+		return &serverState{
+			NumClients: 2, Rounds: 10, Init: []float64{1, 2},
+			Keys: []string{"k0", "k1"}, Names: []string{"c0", "c1"},
+			History: []GlobalMsg{
+				{Round: 0, Participants: 2, Payload: []float64{3, 4}},
+				{Round: 1, Participants: 2, Payload: []float64{5, 6}},
+			},
+			Validator: &validatorState{
+				Strikes: []int{0, 1}, Quar: []bool{false, false}, QuarRound: []int{-1, -1},
+			},
+			ShadowRound: 1,
+			Shadow:      []byte{1},
+			ShadowX:     []float64{5, 6},
+		}
 	}
-	if _, _, err := decodeWALPartial(encodeWALPartial(1, p)[:8]); err == nil {
-		t.Fatal("truncated partial record decoded without error")
+	if err := verifyRecovered(good(), cfg); err != nil {
+		t.Fatalf("consistent state refused: %v", err)
+	}
+	for _, tt := range []struct {
+		name   string
+		mutate func(*serverState)
+		want   error
+	}{
+		{"short shadow model", func(s *serverState) { s.ShadowX = s.ShadowX[:1] }, ErrShadowLength},
+		{"long shadow model", func(s *serverState) { s.ShadowX = append(s.ShadowX, 7) }, ErrShadowLength},
+		{"shadow past last commit", func(s *serverState) { s.ShadowRound = 2 }, ErrShadowRound},
+		{"shadow round below -1", func(s *serverState) { s.ShadowRound = -2 }, ErrShadowRound},
+		{"missing quarantine rounds", func(s *serverState) { s.Validator.QuarRound = nil }, ErrQuarantineRounds},
+		{"extra quarantine rounds", func(s *serverState) { s.Validator.QuarRound = []int{-1, -1, -1} }, ErrQuarantineRounds},
+	} {
+		st := good()
+		tt.mutate(st)
+		err := verifyRecovered(st, cfg)
+		if !errors.Is(err, tt.want) || !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("%s: got %v, want %v (and checkpoint.ErrCorrupt)", tt.name, err, tt.want)
+		}
 	}
 
+	// The shadow replica itself refuses a model of the wrong length
+	// rather than copying a prefix over a stale tail.
+	sh := newShadow(core.Config{Dim: 2})
+	if err := sh.restore(0, []float64{1}, checkpoint.EncodeManager(sh.mgr.Snapshot())); err == nil {
+		t.Fatal("shadow restored a 1-scalar model into a 2-scalar replica")
+	}
+}
+
+// TestNewServerRejectsOldCheckpoint: a checkpoint directory written in an
+// older layout — a server snapshot before the current tails, or a WAL
+// holding the per-update records earlier builds appended — makes
+// NewServer fail with checkpoint.ErrCorrupt. It never starts a fresh run
+// over the directory: the files are left exactly as found.
+func TestNewServerRejectsOldCheckpoint(t *testing.T) {
+	cfg := func(dir string) ServerConfig {
+		return ServerConfig{Addr: "127.0.0.1:0", NumClients: 1, Rounds: 2, Init: []float64{0},
+			CheckpointDir: dir, RoundDeadline: time.Second}
+	}
+	// The per-update record kind earlier builds appended for every
+	// admitted update: client id, then the dense update body.
+	const oldUpdateKind = checkpoint.KindUser + 1
+	var update checkpoint.Writer
+	update.Int(0)    // client id
+	update.Int(0)    // round
+	update.F64(1)    // weight
+	update.U64(0)    // mask hash
+	update.F64s(nil) // payload
+
+	arms := map[string]func(*checkpoint.Store) error{}
+	for name, payload := range oldServerSnapshots() {
+		arms[name] = func(store *checkpoint.Store) error { return store.WriteSnapshot(0, kindServerSnap, payload) }
+	}
+	arms["wal-update-record"] = func(store *checkpoint.Store) error {
+		base := &serverState{NumClients: 1, Rounds: 2, Init: []float64{0},
+			Keys: []string{"k0"}, Names: []string{"c0"}, ShadowRound: -1}
+		if err := store.WriteSnapshot(0, kindServerSnap, encodeServerState(base)); err != nil {
+			return err
+		}
+		return store.Append(oldUpdateKind, update.Bytes())
+	}
+	for name, write := range arms {
+		dir := t.TempDir()
+		store, err := checkpoint.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(store); err != nil {
+			t.Fatal(err)
+		}
+		store.Close()
+		before := dirContents(t, dir)
+
+		srv, err := NewServer(cfg(dir))
+		if err == nil {
+			t.Fatalf("%s: NewServer accepted an old-layout checkpoint (start round %d)", name, srv.StartRound())
+		}
+		if !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Fatalf("%s: got %v, want checkpoint.ErrCorrupt", name, err)
+		}
+		if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: failed start touched the checkpoint directory", name)
+		}
+	}
+}
+
+// dirContents maps each file in dir to its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(b)
+	}
+	return out
+}
+
+// TestWALPartialRecords pins the root tier's WAL semantics: relay
+// partials are in-flight state and never logged (the relays' idempotent
+// re-sends repopulate a re-opened round), and the partial-round
+// re-derivation stays off on the root tier, where Participants counts
+// underlying clients while NumClients counts relays.
+func TestWALPartialRecords(t *testing.T) {
 	store, err := checkpoint.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 	base := &serverState{
-		NumClients: 2, // relays on the root tier
-		Rounds:     5,
-		Init:       []float64{1, 2},
-		Keys:       []string{"edge-a", "edge-b"},
-		Names:      []string{"edge-a", "edge-b"},
+		NumClients:  2, // relays on the root tier
+		Rounds:      5,
+		Init:        []float64{1, 2},
+		Keys:        []string{"edge-a", "edge-b"},
+		Names:       []string{"edge-a", "edge-b"},
+		ShadowRound: -1,
 	}
 	if err := store.WriteSnapshot(0, kindServerSnap, encodeServerState(base)); err != nil {
 		t.Fatal(err)
 	}
-	append_ := func(kind uint16, payload []byte) {
-		t.Helper()
-		if err := store.Append(kind, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// Round 0 committed with one of two relays reporting: Participants
 	// carries the client count (1 here), which must NOT feed the
 	// partial-round counter on the root tier.
-	append_(kindWALPartial, encodeWALPartial(0, &PartialUpdateMsg{Round: 0, Count: 1, WeightLo: 1, Cols: []uint64{1, 0, 2, 0}}))
-	append_(kindWALGlobal, encodeWALGlobal(&GlobalMsg{Round: 0, Participants: 1, Payload: []float64{1, 2}}))
-	// Round 1 was in flight at the crash: one partial, no commit.
-	append_(kindWALPartial, encodeWALPartial(1, &PartialUpdateMsg{Round: 1, Count: 3, WeightLo: 3, Cols: []uint64{5, 0, 6, 0}}))
+	if err := store.Append(kindWALGlobal, encodeWALGlobal(&GlobalMsg{Round: 0, Participants: 1, Payload: []float64{1, 2}})); err != nil {
+		t.Fatal(err)
+	}
 
 	st, err := recoverState(store, true)
 	if err != nil {
@@ -387,24 +503,21 @@ func TestRecoverFromGenerationZeroCheckpoint(t *testing.T) {
 	clean := runArm("clean", "")
 
 	// Hand-build exactly what a kill -9 inside round 0 leaves behind: the
-	// base snapshot at generation 0, a WAL with an in-flight round-0
-	// update, and no commit record.
+	// base snapshot at generation 0 and an empty WAL (no commit record).
 	dir := t.TempDir()
 	store, err := checkpoint.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := &serverState{
-		NumClients: clients,
-		Rounds:     rounds,
-		Init:       init,
-		Keys:       []string{"c0", "c1"},
-		Names:      []string{"c0", "c1"},
+		NumClients:  clients,
+		Rounds:      rounds,
+		Init:        init,
+		Keys:        []string{"c0", "c1"},
+		Names:       []string{"c0", "c1"},
+		ShadowRound: -1,
 	}
 	if err := store.WriteSnapshot(0, kindServerSnap, encodeServerState(base)); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Append(kindWALUpdate, encodeWALUpdate(0, &UpdateMsg{Round: 0, Weight: 1, Payload: init})); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Close(); err != nil {

@@ -20,8 +20,7 @@ type event struct {
 	upd  *UpdateMsg // nil for a connection failure or a relay partial
 	// sp is the sparse original when the update arrived on a sparse codec
 	// (upd then holds its dense-equivalent conversion); nil for dense
-	// sessions. The engine cross-checks its mask generation and hands it to
-	// the sink so the WAL can log the frame that actually crossed the wire.
+	// sessions. The engine cross-checks its mask generation.
 	sp *SparseUpdateMsg
 	// part is a relay's pre-aggregated partial sum (root tier only); the
 	// slot id then identifies the relay, not a client.
@@ -40,21 +39,15 @@ type roundMeta struct {
 }
 
 // roundSink is the narrow surface the round engine drives its host
-// through. The TCP server implements it with WAL appends, snapshot
+// through. The TCP server implements it with WAL commit records, snapshot
 // rotation, and frame fan-out; engine tests implement it in-process. The
 // engine guarantees the call order per round: markRound, then zero or more
-// logUpdate/logPartial/rejectUpdate, then exactly one commitRound (absent
-// only when the round aborts the run).
+// rejectUpdate/strikeClient, then exactly one commitRound (absent only
+// when the round aborts the run). Admitted contributions are not logged:
+// a crash re-opens the round and the peers' idempotent re-sends refill it.
 type roundSink interface {
 	// markRound announces that the engine starts collecting the round.
 	markRound(round int)
-	// logUpdate durably records one admitted update before it counts
-	// toward the round; an error aborts the run (durability failures are
-	// never survivable). sp is the sparse original when one exists.
-	logUpdate(id int, u *UpdateMsg, sp *SparseUpdateMsg) error
-	// logPartial durably records one admitted relay partial (root tier)
-	// before it counts toward the round.
-	logPartial(id int, p *PartialUpdateMsg) error
 	// rejectUpdate records one refused update (fault-tolerant mode only;
 	// in strict mode a refused update aborts the run instead).
 	rejectUpdate(id, round int, err error)
@@ -318,9 +311,8 @@ func (e *roundEngine) run(ctx context.Context, startRound int, init []float64, h
 // fault-tolerant mode, the round deadline passed with at least minClients
 // contributions. Quarantined clients are not waited for. Every accepted
 // contribution passes the sanitization hook (when configured) and the
-// aggregator's own guards, and is logged through the sink before it
-// counts. Returns the contribution count; the round's mask evidence lands
-// in st.meta.
+// aggregator's own guards before it counts. Returns the contribution
+// count; the round's mask evidence lands in st.meta.
 func (e *roundEngine) collect(ctx context.Context, st *roundState, agg *fl.Aggregator) (int, error) {
 	var deadline <-chan time.Time
 	var timer *time.Timer
@@ -474,7 +466,7 @@ func (e *roundEngine) handleUpdate(ev event, st *roundState, agg *fl.Aggregator)
 	if e.metrics != nil {
 		e.metrics.accepted.Inc()
 	}
-	return e.sink.logUpdate(ev.id, u, ev.sp)
+	return nil
 }
 
 // handlePartial is handleUpdate's root-tier counterpart: one relay's
@@ -530,7 +522,7 @@ func (e *roundEngine) handlePartial(ev event, st *roundState, agg *fl.Aggregator
 	if e.metrics != nil {
 		e.metrics.accepted.Inc()
 	}
-	return e.sink.logPartial(ev.id, p)
+	return nil
 }
 
 // admit runs one update through the sanitization hook and the

@@ -17,30 +17,11 @@ type testSink struct {
 	commits  []GlobalMsg
 	metas    []roundMeta
 	partials []bool
-	logged   int
-	sparse   int
 	struck   []int   // client ids struck by the post-round review, in order
 	rejected []error // refused updates (fault-tolerant mode), in order
 }
 
 func (s *testSink) markRound(int) {}
-
-func (s *testSink) logUpdate(id int, u *UpdateMsg, sp *SparseUpdateMsg) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.logged++
-	if sp != nil {
-		s.sparse++
-	}
-	return nil
-}
-
-func (s *testSink) logPartial(id int, p *PartialUpdateMsg) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.logged++
-	return nil
-}
 
 func (s *testSink) rejectUpdate(id, round int, err error) {
 	s.mu.Lock()
@@ -253,9 +234,6 @@ func TestEngineSparseMetaCommitted(t *testing.T) {
 	}
 	if m := sink.metas[0]; m.maskHash != 0xfeed || m.maskGen != 3 {
 		t.Errorf("committed meta = %+v, want hash feed gen 3", m)
-	}
-	if sink.sparse != 2 {
-		t.Errorf("sparse originals logged = %d, want 2", sink.sparse)
 	}
 }
 

@@ -511,7 +511,7 @@ func (r *Relay) joinOnce(ctx context.Context) (*WelcomeMsg, error) {
 	return w, nil
 }
 
-// catchUpUpstream runs the relay side of the wire-v4 catch-up
+// catchUpUpstream runs the relay side of the catch-up
 // conversation: the relay always requests snapshot mode (MaskGen -1) —
 // its upstream leg is model payloads, not manager state — and holds the
 // received snapshot as a pending round jump for the engine to commit.

@@ -62,7 +62,7 @@ type ServerConfig struct {
 	// Codec is the strongest payload codec the server will negotiate per
 	// session (wire.NegotiateCodec caps it by each client's advertised
 	// capabilities). CodecDense — the zero value — keeps every session on
-	// the v1 dense kinds. CodecSparseQ16 additionally rounds every
+	// the dense kinds. CodecSparseQ16 additionally rounds every
 	// committed aggregate through binary16, so dense and quantized sessions
 	// of one cluster observe bit-identical models.
 	Codec wire.Codec
@@ -98,7 +98,7 @@ type ServerConfig struct {
 	// HistoryRounds bounds the in-memory aggregate history to the most
 	// recent K committed rounds (0 keeps every round). Eviction bounds
 	// server memory to O(dim + sessions) over arbitrarily long runs; a
-	// client whose round fell off the window resumes through the wire-v4
+	// client whose round fell off the window resumes through the wire
 	// catch-up protocol (snapshot or sketch reconciliation) instead of
 	// the missed-payload replay, bit-exactly either way.
 	HistoryRounds int
@@ -781,30 +781,6 @@ func (s *Server) markRound(round int) {
 	}
 }
 
-// logUpdate implements roundSink: an admitted update reaches the WAL
-// before it counts toward the round. A sparse update is logged in the
-// frame that crossed the wire — smaller, and lossless to replay since the
-// dense form the engine aggregated was derived from it.
-func (s *Server) logUpdate(id int, u *UpdateMsg, sp *SparseUpdateMsg) error {
-	if s.store == nil {
-		return nil
-	}
-	if sp != nil {
-		return s.store.Append(kindWALSparseUpdate, encodeWALSparseUpdate(id, sp))
-	}
-	return s.store.Append(kindWALUpdate, encodeWALUpdate(id, u))
-}
-
-// logPartial implements roundSink: an admitted relay partial reaches the
-// WAL before it counts toward the round, exactly as a client update does
-// on the flat tier.
-func (s *Server) logPartial(id int, p *PartialUpdateMsg) error {
-	if s.store == nil {
-		return nil
-	}
-	return s.store.Append(kindWALPartial, encodeWALPartial(id, p))
-}
-
 // rejectUpdate implements roundSink (fault-tolerant accounting).
 func (s *Server) rejectUpdate(id, round int, err error) {
 	s.mu.Lock()
@@ -1253,7 +1229,7 @@ func (s *Server) handleJoin(cc *countingConn, join *JoinMsg) {
 // retained history still covers its round, it receives the aggregates it
 // missed (HaveRound+1 … latest) for replay; when eviction dropped them,
 // the Welcome instead carries CatchUp and the connection enters the
-// wire-v4 catch-up conversation (sketch reconciliation or snapshot).
+// catch-up conversation (sketch reconciliation or snapshot).
 // Either way this connection's sequential GlobalMsg stream continues
 // after the latest committed round. Called with s.mu held; unlocks it.
 // Holding s.mu across the session swap keeps the missed list (or the
@@ -1376,8 +1352,8 @@ func (s *Server) reader(sess *session, gen int, cc *countingConn) {
 			case *SparseUpdateMsg:
 				if err = s.checkSparseUpdate(sess, u); err == nil {
 					// The engine aggregates the dense-expanded form; the
-					// sparse original rides along for the WAL and the
-					// round's mask-generation cross-check.
+					// sparse original rides along for the round's
+					// mask-generation cross-check.
 					dense := &UpdateMsg{
 						Round:    u.Round,
 						Weight:   u.Weight,

@@ -311,10 +311,10 @@ func TestTCPSparseUnderChaosMatchesSimulatorBitExact(t *testing.T) {
 }
 
 // TestTCPSparseKillRestartBitExact crashes a durable sparse coordinator
-// mid-run and recovers it from the checkpoint directory: the WAL now
-// holds sparse update records (kindWALSparseUpdate) that recovery must
-// skip cleanly, the recovered rounds re-frame as dense broadcasts, and
-// the finished run still matches the simulator bit for bit.
+// mid-run and recovers it from the checkpoint directory: the round left
+// open re-collects from the clients' re-sent sparse updates, the
+// recovered rounds re-frame as dense broadcasts, and the finished run
+// still matches the simulator bit for bit.
 func TestTCPSparseKillRestartBitExact(t *testing.T) {
 	f := newSparseFixture()
 	sim := f.simGlobal()
@@ -413,34 +413,4 @@ func TestTCPSparseKillRestartBitExact(t *testing.T) {
 		t.Fatalf("server 2: %v", err)
 	}
 	requireMatchesSimulator(t, results, sim)
-}
-
-// TestWALSparseUpdateRecordRoundTrip pins the WAL encoding of sparse
-// update records for both scalar encodings, including non-canonical NaN
-// half patterns that must survive byte-exactly.
-func TestWALSparseUpdateRecordRoundTrip(t *testing.T) {
-	cases := []*wire.SparseUpdateMsg{
-		{Round: 4, Weight: 1.5, MaskHash: 0xabcdef, MaskGen: 2, Dim: 7,
-			Enc: wire.EncF64, Values: []float64{0.25, -3, 1e-8}},
-		{Round: 9, Weight: 0.5, MaskHash: 1, MaskGen: -1, Dim: 4,
-			Enc: wire.EncF16, Q: []uint16{0x3c00, 0x7e33, 0xfc00}},
-	}
-	for _, u := range cases {
-		rec := encodeWALSparseUpdate(11, u)
-		id, got, err := decodeWALSparseUpdate(rec)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if id != 11 {
-			t.Errorf("client id = %d, want 11", id)
-		}
-		if !reflect.DeepEqual(got, u) {
-			t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, u)
-		}
-	}
-	// A truncated record must fail loudly, not decode garbage.
-	rec := encodeWALSparseUpdate(3, cases[0])
-	if _, _, err := decodeWALSparseUpdate(rec[:len(rec)-2]); err == nil {
-		t.Error("truncated WAL sparse record decoded without error")
-	}
 }

@@ -340,29 +340,18 @@ func (v *Validator) snapshotState() *validatorState {
 
 // restoreState loads a snapshotState capture. The norm history replays
 // oldest-first; if the configured window shrank across the restart, only
-// the newest norms are kept. Snapshots from before the cosine gate carry
-// no reference direction or quarantine rounds: the gate re-arms after
-// CosineMinHistory fresh commits, and quarantined clients restore with
-// the -1 round sentinel (the flag survives, the round it tripped in does
-// not).
+// the newest norms are kept.
 func (v *Validator) restoreState(st *validatorState) error {
 	if len(st.Strikes) != v.cfg.Clients || len(st.Quar) != v.cfg.Clients {
 		return fmt.Errorf("transport: checkpoint validator state covers %d/%d clients, cluster has %d",
 			len(st.Strikes), len(st.Quar), v.cfg.Clients)
 	}
-	if st.QuarRound != nil && len(st.QuarRound) != v.cfg.Clients {
-		return fmt.Errorf("transport: checkpoint quarantine rounds cover %d clients, cluster has %d",
-			len(st.QuarRound), v.cfg.Clients)
+	if len(st.QuarRound) != v.cfg.Clients {
+		return fmt.Errorf("transport: %w: %d entries, cluster has %d", ErrQuarantineRounds, len(st.QuarRound), v.cfg.Clients)
 	}
 	copy(v.strikes, st.Strikes)
 	copy(v.quar, st.Quar)
-	if st.QuarRound != nil {
-		copy(v.quarRound, st.QuarRound)
-	} else {
-		for i := range v.quarRound {
-			v.quarRound[i] = -1
-		}
-	}
+	copy(v.quarRound, st.QuarRound)
 	norms := st.Norms
 	if len(norms) > len(v.norms) {
 		norms = norms[len(norms)-len(v.norms):]
@@ -386,8 +375,7 @@ func (v *Validator) Strikes(id int) int { return v.strikes[id] }
 func (v *Validator) Quarantined(id int) bool { return v.quar[id] }
 
 // QuarantineRound returns the round in which client id was quarantined,
-// or -1 if it is not quarantined (or the quarantine was restored from a
-// legacy checkpoint that carried the flag but not the round).
+// or -1 if it is not quarantined.
 func (v *Validator) QuarantineRound(id int) int { return v.quarRound[id] }
 
 // QuarantinedCount returns how many clients are quarantined.

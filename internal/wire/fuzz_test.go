@@ -16,23 +16,23 @@ import (
 // package's typed errors or hand back a message that re-encodes canonically
 // — byte-for-byte — to the frame it was decoded from.
 func FuzzWireDecode(f *testing.F) {
+	// One seed per kind, several for the kinds with optional fields or
+	// length-bounded lists: the handshake's caps/codec/catch-up fields,
+	// sparse payload encodings, relay accumulators, sketch cells and
+	// delta word blocks are the mutation targets.
 	for _, m := range []Msg{
 		&JoinMsg{Name: "shard-0", SessionKey: "shard-0", HaveRound: -1},
-		&UpdateMsg{Round: 3, Payload: []float64{1, -2.5, 3e300}, Weight: 30, MaskHash: 0xfeedface},
-		&GlobalMsg{Round: 7, Payload: []float64{0.25, -0.75}, Participants: 2},
+		&JoinMsg{Name: "shard-1", Caps: CapSparse | CapQuantized | CapRecon},
 		&WelcomeMsg{
 			ClientID: 1, NumClients: 2, Rounds: 8, Dim: 3,
 			Init: []float64{1, 2, 3}, Round: 5, Resumed: true,
 			Missed: []GlobalMsg{{Round: 4, Payload: []float64{7, 8, 9}, Participants: 2}},
 		},
-	} {
-		f.Add(Encode(m))
-	}
-	// v2 handshake and sparse forms: the canonical-versioning rule makes
-	// these the interesting mutation targets (version byte vs body shape).
-	for _, m := range []Msg{
-		&JoinMsg{Name: "shard-1", Caps: CapSparse | CapQuantized},
 		&WelcomeMsg{ClientID: 0, NumClients: 1, Rounds: 1, Dim: 2, Init: []float64{0, 0}, Codec: CodecSparseQ16},
+		&WelcomeMsg{ClientID: 2, NumClients: 4, Rounds: 9, Dim: 2,
+			Init: []float64{1, 2}, Round: 6, Resumed: true, CatchUp: true, MaskGen: 3},
+		&UpdateMsg{Round: 3, Payload: []float64{1, -2.5, 3e300}, Weight: 30, MaskHash: 0xfeedface},
+		&GlobalMsg{Round: 7, Payload: []float64{0.25, -0.75}, Participants: 2},
 		&SparseUpdateMsg{Round: 2, Weight: 4, MaskHash: 0xabad1dea, MaskGen: 3, Dim: 6,
 			Enc: EncF64, Values: []float64{1.5, -2.25}},
 		&SparseUpdateMsg{Round: 2, Weight: 4, MaskHash: 1, MaskGen: -1, Dim: 6,
@@ -41,24 +41,9 @@ func FuzzWireDecode(f *testing.F) {
 			Enc: EncF64, Values: []float64{-0.5}},
 		&SparseGlobalMsg{Round: 9, Participants: 4, MaskHash: 7, MaskGen: 2, Dim: 4,
 			Enc: EncF16, Q: []uint16{0, 0x8000, 0x7bff}},
-	} {
-		f.Add(Encode(m))
-	}
-	// v3 relay forms: the kind↔version gate and the bounded accumulator
-	// length are the mutation targets.
-	for _, m := range []Msg{
 		&RelayJoinMsg{Name: "edge-0", SessionKey: "edge-0", HaveRound: -1, Clients: 128},
 		&PartialUpdateMsg{Round: 4, Count: 3, WeightLo: 1, WeightHi: 2,
 			MaskHash: 0xabad1dea, Cols: []uint64{0, 1, ^uint64(0), 5}},
-	} {
-		f.Add(Encode(m))
-	}
-	// v4 catch-up forms: sketch-cell and delta word-block counts are
-	// length-bounded, the catch-up Welcome is the canonical-versioning
-	// target, and truncated snapshot frames must fail typed.
-	for _, m := range []Msg{
-		&WelcomeMsg{ClientID: 2, NumClients: 4, Rounds: 9, Dim: 2,
-			Init: []float64{1, 2}, Round: 6, Resumed: true, CatchUp: true, MaskGen: 3},
 		&ResumeOfferMsg{Round: 5, MaskGen: 2},
 		&ResumeOfferMsg{Round: 5, MaskGen: 2, NeedMore: true},
 		&ResumeOfferMsg{Round: 5, MaskGen: 2, Words: []int{0, 3, 7}},

@@ -51,12 +51,8 @@ func (*RelayJoinMsg) WireKind() Kind { return KindRelayJoin }
 // WireKind implements Msg.
 func (*PartialUpdateMsg) WireKind() Kind { return KindPartialUpdate }
 
-// wireVersion implements Msg: the relay kinds exist only at v3, so the
-// body is canonical there unconditionally.
-func (m *RelayJoinMsg) wireVersion() uint8 { return 3 }
-
 // appendBody serializes a RelayJoinMsg body.
-func (m *RelayJoinMsg) appendBody(w *checkpoint.Writer, _ uint8) {
+func (m *RelayJoinMsg) appendBody(w *checkpoint.Writer) {
 	w.String(m.Name)
 	w.String(m.SessionKey)
 	w.Int(m.HaveRound)
@@ -77,14 +73,8 @@ func readRelayJoin(r *checkpoint.Reader) *RelayJoinMsg {
 	return m
 }
 
-// wireVersion implements Msg.
-func (m *PartialUpdateMsg) wireVersion() uint8 { return 3 }
-
-// AppendPartialUpdateBody serializes a PartialUpdateMsg body without the
-// frame — the shared form used by both the socket codec and the root's
-// write-ahead log (package transport prefixes the WAL record with the
-// relay id, mirroring AppendUpdateBody).
-func AppendPartialUpdateBody(w *checkpoint.Writer, m *PartialUpdateMsg) {
+// appendBody serializes a PartialUpdateMsg body.
+func (m *PartialUpdateMsg) appendBody(w *checkpoint.Writer) {
 	w.Int(m.Round)
 	w.Int(m.Count)
 	w.U64(m.WeightLo)
@@ -93,13 +83,13 @@ func AppendPartialUpdateBody(w *checkpoint.Writer, m *PartialUpdateMsg) {
 	w.U64s(m.Cols)
 }
 
-// ReadPartialUpdateBody decodes an AppendPartialUpdateBody encoding. The
-// column count is bounded against the remaining payload before allocation
+// readPartialUpdate decodes a PartialUpdateMsg body. The column count is
+// bounded against the remaining payload before allocation
 // (checkpoint.Reader.U64s), and structural invariants — non-negative
 // count, an even number of accumulator words — fail the reader rather
 // than escape into the aggregation path.
-func ReadPartialUpdateBody(r *checkpoint.Reader) PartialUpdateMsg {
-	m := PartialUpdateMsg{
+func readPartialUpdate(r *checkpoint.Reader) *PartialUpdateMsg {
+	m := &PartialUpdateMsg{
 		Round:    r.Int(),
 		Count:    r.Int(),
 		WeightLo: r.U64(),
@@ -118,9 +108,4 @@ func ReadPartialUpdateBody(r *checkpoint.Reader) PartialUpdateMsg {
 		r.Fail("odd accumulator word count")
 	}
 	return m
-}
-
-// appendBody serializes a PartialUpdateMsg body.
-func (m *PartialUpdateMsg) appendBody(w *checkpoint.Writer, _ uint8) {
-	AppendPartialUpdateBody(w, m)
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// relaySampleMsgs covers the v3 relay kinds with awkward values: empty and
+// relaySampleMsgs covers the relay kinds with awkward values: empty and
 // populated accumulators, negative rounds, resumable sessions.
 func relaySampleMsgs() []Msg {
 	return []Msg{
@@ -25,8 +25,8 @@ func relaySampleMsgs() []Msg {
 func TestRelayRoundTrip(t *testing.T) {
 	for _, m := range relaySampleMsgs() {
 		frame := Encode(m)
-		if frame[4] != 3 {
-			t.Fatalf("%s: stamped version %d, want 3", m.WireKind(), frame[4])
+		if frame[4] != Version {
+			t.Fatalf("%s: stamped version %d, want %d", m.WireKind(), frame[4], Version)
 		}
 		got, rest, err := Decode(frame, 0)
 		if err != nil {
@@ -42,23 +42,6 @@ func TestRelayRoundTrip(t *testing.T) {
 			t.Fatalf("%s: ReadMsg: %v", m.WireKind(), err)
 		}
 		sameMsg(t, m, got2)
-	}
-}
-
-// TestRelayKindsNeedV3 pins the header gate: the relay kinds framed under
-// an older version stamp are refused with ErrVersion before any payload is
-// interpreted.
-func TestRelayKindsNeedV3(t *testing.T) {
-	for _, m := range []Msg{
-		&RelayJoinMsg{Name: "edge-0"},
-		&PartialUpdateMsg{Round: 1, Count: 1, Cols: []uint64{1, 2}},
-	} {
-		for _, v := range []uint8{1, 2} {
-			frame := reframe(Encode(m), v)
-			if _, _, err := Decode(frame, 0); !errors.Is(err, ErrVersion) {
-				t.Fatalf("%s stamped v%d: got %v, want ErrVersion", m.WireKind(), v, err)
-			}
-		}
 	}
 }
 
@@ -92,8 +75,24 @@ func TestHostileColsCount(t *testing.T) {
 		body[off+i] = 0
 	}
 	body[off+5] = 1 // little-endian byte 5 → 2^40 words
-	if _, err := decodeBody(KindPartialUpdate, 3, body); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeBody(KindPartialUpdate, body); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hostile cols count: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestRelayKindsNeedV3: relay frames stamped with the v1 or v2 layouts,
+// which predate the relay kinds, are refused at the header with ErrVersion.
+func TestRelayKindsNeedV3(t *testing.T) {
+	for _, m := range []Msg{
+		&RelayJoinMsg{Name: "edge-0"},
+		&PartialUpdateMsg{Round: 1, Count: 1, Cols: []uint64{1, 2}},
+	} {
+		for _, v := range []uint8{1, 2} {
+			frame := reframe(Encode(m), v)
+			if _, _, err := Decode(frame, 0); !errors.Is(err, ErrVersion) {
+				t.Fatalf("%s stamped v%d: got %v, want ErrVersion", m.WireKind(), v, err)
+			}
+		}
 	}
 }
 

@@ -38,8 +38,8 @@ func TestSparseRoundTrip(t *testing.T) {
 	}
 	for _, m := range msgs {
 		frame := Encode(m)
-		if frame[4] != 2 {
-			t.Fatalf("%s frame stamped version %d, want 2", m.WireKind(), frame[4])
+		if frame[4] != Version {
+			t.Fatalf("%s frame stamped version %d, want %d", m.WireKind(), frame[4], Version)
 		}
 		got, rest, err := Decode(frame, 0)
 		if err != nil {
@@ -57,53 +57,50 @@ func TestSparseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCanonicalVersionStamping pins the minimal-version rule: handshake
-// messages encode as v1 frames exactly when their v2 fields are zero, so a
-// v2 build talking dense is byte-compatible with a v1 peer.
+// everyKindMsgs covers all twelve kinds, including the handshake with its
+// capability and codec fields in use.
+func everyKindMsgs() []Msg {
+	msgs := append(sampleMsgs(), relaySampleMsgs()...)
+	return append(msgs,
+		&JoinMsg{Name: "a", Caps: CapSparse},
+		&WelcomeMsg{Dim: 1, Init: []float64{0}, Codec: CodecSparse},
+		&SparseUpdateMsg{Dim: 1, Values: []float64{1}},
+		&SparseGlobalMsg{Dim: 1, Values: []float64{1}},
+	)
+}
+
+// TestCanonicalVersionStamping pins the one-version rule: every kind,
+// with or without its optional fields in use, stamps Version and decodes
+// back.
 func TestCanonicalVersionStamping(t *testing.T) {
-	cases := []struct {
-		m    Msg
-		want uint8
-	}{
-		{&JoinMsg{Name: "a"}, 1},
-		{&JoinMsg{Name: "a", Caps: CapSparse}, 2},
-		{&WelcomeMsg{Dim: 1, Init: []float64{0}}, 1},
-		{&WelcomeMsg{Dim: 1, Init: []float64{0}, Codec: CodecSparse}, 2},
-		{&UpdateMsg{Round: 1, Payload: []float64{1}}, 1},
-		{&GlobalMsg{Round: 1, Payload: []float64{1}}, 1},
-		{&SparseUpdateMsg{Dim: 1, Values: []float64{1}}, 2},
-		{&SparseGlobalMsg{Dim: 1, Values: []float64{1}}, 2},
-	}
-	for _, tt := range cases {
-		frame := Encode(tt.m)
-		if frame[4] != tt.want {
-			t.Errorf("%s (%+v): stamped version %d, want %d", tt.m.WireKind(), tt.m, frame[4], tt.want)
+	for _, m := range everyKindMsgs() {
+		frame := Encode(m)
+		if frame[4] != Version {
+			t.Errorf("%s (%+v): stamped version %d, want %d", m.WireKind(), m, frame[4], Version)
 		}
 		if _, _, err := Decode(frame, 0); err != nil {
-			t.Errorf("%s: canonical frame refused: %v", tt.m.WireKind(), err)
+			t.Errorf("%s: frame refused: %v", m.WireKind(), err)
 		}
 	}
 }
 
-// TestNonCanonicalVersionRejected: a structurally intact frame whose
-// stamped version disagrees with the minimal version its body needs is
-// corrupt — decode∘encode must stay the identity on accepted frames.
+// TestNonCanonicalVersionRejected: a structurally intact frame stamped
+// with an older version — what a build from before the one-version rule
+// sent for a capability-free Join or a dense Update — is refused with
+// ErrVersion from the header, before its body is read.
 func TestNonCanonicalVersionRejected(t *testing.T) {
-	// A zero-caps Join is a v1 body; stamping it v2 is non-canonical.
-	join := reframe(Encode(&JoinMsg{Name: "a"}), 2)
-	if _, _, err := Decode(join, 0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("v2-stamped v1 join body: got %v, want ErrCorrupt", err)
+	join := reframe(Encode(&JoinMsg{Name: "a"}), 1)
+	if _, _, err := Decode(join, 0); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v1-stamped join: got %v, want ErrVersion", err)
 	}
-	// A dense Update stamped v2 likewise.
 	up := reframe(Encode(&UpdateMsg{Round: 1, Payload: []float64{1}}), 2)
-	if _, _, err := Decode(up, 0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("v2-stamped dense update: got %v, want ErrCorrupt", err)
+	if _, err := ReadMsg(bytes.NewReader(up), 0); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v2-stamped dense update: got %v, want ErrVersion", err)
 	}
 }
 
-// TestSparseKindNeedsV2 is the mixed-version story: a v1 peer (or a liar)
-// framing a sparse kind under version 1 is refused at the header with
-// ErrVersion, before any payload is touched.
+// TestSparseKindNeedsV2: a sparse frame stamped with the v1 layout, which
+// predates the sparse kinds, is refused at the header with ErrVersion.
 func TestSparseKindNeedsV2(t *testing.T) {
 	frame := reframe(Encode(&SparseUpdateMsg{Dim: 2, Values: []float64{1}}), 1)
 	if _, _, err := Decode(frame, 0); !errors.Is(err, ErrVersion) {
@@ -111,11 +108,15 @@ func TestSparseKindNeedsV2(t *testing.T) {
 	}
 }
 
+// TestVersionRange: every kind stamped with any version but Version fails
+// at the header with ErrVersion — there are no per-kind version gates.
 func TestVersionRange(t *testing.T) {
-	good := Encode(&JoinMsg{Name: "a"})
-	for _, v := range []uint8{0, Version + 1, 200} {
-		if _, _, err := Decode(reframe(good, v), 0); !errors.Is(err, ErrVersion) {
-			t.Errorf("version %d: got %v, want ErrVersion", v, err)
+	for _, m := range everyKindMsgs() {
+		good := Encode(m)
+		for _, v := range []uint8{0, 1, 2, 3, Version + 1, 200} {
+			if _, _, err := Decode(reframe(good, v), 0); !errors.Is(err, ErrVersion) {
+				t.Errorf("%s at version %d: got %v, want ErrVersion", m.WireKind(), v, err)
+			}
 		}
 	}
 }
@@ -150,7 +151,7 @@ func TestHostileHalfCount(t *testing.T) {
 		body[i] = 0
 	}
 	body[len(body)-3] = 1
-	if _, err := decodeBody(KindSparseUpdate, 2, body); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeBody(KindSparseUpdate, body); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hostile half count: got %v, want ErrCorrupt", err)
 	}
 }
@@ -256,8 +257,8 @@ func TestFrameKind(t *testing.T) {
 	}
 }
 
-// TestV2HandshakeRoundTrip covers Caps/Codec surviving the wire.
-func TestV2HandshakeRoundTrip(t *testing.T) {
+// TestHandshakeRoundTrip covers Caps/Codec surviving the wire.
+func TestHandshakeRoundTrip(t *testing.T) {
 	j := &JoinMsg{Name: "c1", SessionKey: "k", HaveRound: 4, Caps: CapSparse | CapQuantized}
 	got, _, err := Decode(Encode(j), 0)
 	if err != nil {
@@ -279,8 +280,8 @@ func TestV2HandshakeRoundTrip(t *testing.T) {
 	// An out-of-range negotiated codec is corrupt.
 	frame := Encode(w)
 	body := append([]byte(nil), frame[headerLen:len(frame)-trailerLen]...)
-	body[len(body)-2] = 9 // codec u16 little-endian low byte
-	if _, err := decodeBody(KindWelcome, 2, body); !errors.Is(err, ErrCorrupt) {
+	body[len(body)-11] = 9 // codec u16 low byte, before catch-up flag and mask generation
+	if _, err := decodeBody(KindWelcome, body); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hostile codec value: got %v, want ErrCorrupt", err)
 	}
 }

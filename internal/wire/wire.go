@@ -1,7 +1,9 @@
 // Package wire is the federated protocol's binary wire format: a
-// versioned, length-prefixed, CRC-checked framing plus codecs for the four
-// protocol messages (Join, Welcome, Update, Global). It replaces
-// encoding/gob on the socket so that
+// versioned, length-prefixed, CRC-checked framing plus one body codec per
+// protocol message — the handshake (Join, Welcome), dense and sparse
+// rounds (Update, Global, SparseUpdate, SparseGlobal), the relay tier
+// (RelayJoin, PartialUpdate) and catch-up (ResumeOffer, Sketch, Snapshot,
+// Delta). It is built so that
 //
 //   - a message is serialized exactly once into an immutable frame that
 //     can be fanned out to any number of connections (encode-once
@@ -23,48 +25,21 @@
 //	offset  size  field
 //	0       4     magic "APFW" (0x57465041 little-endian)
 //	4       1     protocol version (Version)
-//	5       1     message kind (KindJoin … KindGlobal)
+//	5       1     message kind (KindJoin … KindDelta)
 //	6       4     payload length, little-endian
 //	10      n     payload (checkpoint.Writer encoding of the message body)
 //	10+n    4     CRC-32 (IEEE) over header + payload
 //
 // # Versioning
 //
-// The version byte is stamped per frame and checked on every decode: a
-// frame outside [MinVersion, Version] fails with ErrVersion before any of
-// its payload is interpreted, so incompatible peers part ways at the first
-// message instead of mis-decoding each other.
-//
-// Version 2 adds the mask-aware sparse message kinds (KindSparseUpdate,
-// KindSparseGlobal) and the codec-negotiation fields on the handshake
-// (JoinMsg.Caps, WelcomeMsg.Codec). Encoding is canonical per message, not
-// per build: a message whose v2 fields are zero — a Join advertising no
-// capabilities, a Welcome selecting the dense codec, and every dense
-// Update/Global — still encodes as a v1 frame, byte-identical to what a v1
-// build produces. A v1 peer therefore interoperates until (and unless) a
-// sparse codec is actually negotiated, and rejects a sparse frame cleanly
-// with ErrVersion from its own header check. The canonical rule also cuts
-// the other way: decoding re-derives the minimal version from the body and
-// refuses a frame whose stamped version disagrees (ErrCorrupt), so every
-// accepted frame re-encodes byte-identically — the fuzz oracle.
-//
-// Version 3 adds the hierarchical relay kinds (KindRelayJoin,
-// KindPartialUpdate): a relay registers with the root as an edge
-// pre-aggregator and streams one exact fixed-point partial sum per round
-// instead of per-client updates. Both kinds exist only at v3, so their
-// bodies carry no version branches; the canonical rule is unchanged — a
-// pre-v3 peer rejects them from its own header check, and every other
-// message keeps encoding exactly as before.
-//
-// Version 4 adds the O(diff) catch-up protocol (KindResumeOffer,
-// KindSketch, KindSnapshot, KindDelta) plus the WelcomeMsg catch-up
-// fields: a server whose replay history no longer reaches a resuming
-// client's round answers the join with CatchUp set, and the peers then
-// reconcile state by rateless-IBLT sketch (nearly in sync, O(diff)
-// bytes) or by snapshot (O(dim) regardless of absence). The four kinds
-// exist only at v4, and a Welcome without CatchUp still encodes
-// exactly as before — v1-v3 peers interoperate until a catch-up is
-// actually needed.
+// Every frame carries the one protocol version this build speaks
+// (Version). A frame stamped with any other version fails with ErrVersion
+// from the header check, before any of its payload is read, so
+// incompatible peers part ways at the first message instead of
+// mis-decoding each other. Each kind has exactly one body layout, and
+// bodies are strict — trailing bytes are corruption — so decoding a frame
+// and re-encoding the message reproduces the input byte for byte (the
+// fuzz oracle).
 package wire
 
 import (
@@ -74,13 +49,9 @@ import (
 	"apf/internal/checkpoint"
 )
 
-// Version is the newest protocol version this build speaks; MinVersion is
-// the oldest it still decodes. Frames are stamped with the minimal version
-// their body needs (see the package comment on canonical versioning).
-const (
-	Version    = 4
-	MinVersion = 1
-)
+// Version is the protocol version stamped on, and required of, every
+// frame.
+const Version = 4
 
 // Frame geometry.
 const (
@@ -107,21 +78,21 @@ const (
 	KindUpdate Kind = 3
 	// KindGlobal frames a GlobalMsg (server → client).
 	KindGlobal Kind = 4
-	// KindSparseUpdate frames a SparseUpdateMsg (client → server, v2).
+	// KindSparseUpdate frames a SparseUpdateMsg (client → server).
 	KindSparseUpdate Kind = 5
-	// KindSparseGlobal frames a SparseGlobalMsg (server → client, v2).
+	// KindSparseGlobal frames a SparseGlobalMsg (server → client).
 	KindSparseGlobal Kind = 6
-	// KindRelayJoin frames a RelayJoinMsg (relay → root, v3).
+	// KindRelayJoin frames a RelayJoinMsg (relay → root).
 	KindRelayJoin Kind = 7
-	// KindPartialUpdate frames a PartialUpdateMsg (relay → root, v3).
+	// KindPartialUpdate frames a PartialUpdateMsg (relay → root).
 	KindPartialUpdate Kind = 8
-	// KindResumeOffer frames a ResumeOfferMsg (client → server, v4).
+	// KindResumeOffer frames a ResumeOfferMsg (client → server).
 	KindResumeOffer Kind = 9
-	// KindSketch frames a SketchMsg (server → client, v4).
+	// KindSketch frames a SketchMsg (server → client).
 	KindSketch Kind = 10
-	// KindSnapshot frames a SnapshotMsg (server → client, v4).
+	// KindSnapshot frames a SnapshotMsg (server → client).
 	KindSnapshot Kind = 11
-	// KindDelta frames a DeltaMsg (server → client, v4).
+	// KindDelta frames a DeltaMsg (server → client).
 	KindDelta Kind = 12
 )
 
@@ -179,14 +150,9 @@ var (
 type Msg interface {
 	// WireKind returns the frame kind this message serializes under.
 	WireKind() Kind
-	// wireVersion returns the minimal protocol version whose frames can
-	// carry this message's body — the version stamped on encode and
-	// required on decode (canonical versioning).
-	wireVersion() uint8
-	// appendBody serializes the message body under the given frame
-	// version; the interface is sealed to this package so the kind↔type
-	// mapping stays closed.
-	appendBody(w *checkpoint.Writer, version uint8)
+	// appendBody serializes the message body; the interface is sealed to
+	// this package so the kind↔type mapping stays closed.
+	appendBody(w *checkpoint.Writer)
 }
 
 // JoinMsg registers a client with the server, or resumes a session.
@@ -202,7 +168,7 @@ type JoinMsg struct {
 	// (HaveRound+1 … current-1).
 	HaveRound int
 	// Caps advertises the client's codec capabilities (CapSparse,
-	// CapQuantized). 0 — the v1 form — requests the dense codec.
+	// CapQuantized, CapRecon). 0 requests the dense codec.
 	Caps uint64
 }
 
@@ -225,15 +191,15 @@ type WelcomeMsg struct {
 	// codec, so resume reconstruction is bit-exact by construction.
 	Missed []GlobalMsg
 	// Codec is the server's pick for this session given the client's
-	// advertised Caps (never stronger than them). CodecDense — the v1
-	// form — keeps the session on the dense Update/Global kinds.
+	// advertised Caps (never stronger than them). CodecDense keeps the
+	// session on the dense Update/Global kinds.
 	Codec Codec
-	// CatchUp (v4) tells a resuming client that replay history no
+	// CatchUp tells a resuming client that replay history no
 	// longer reaches its round: Missed is empty and the client must run
 	// the catch-up sub-protocol (ResumeOffer → Sketch/Delta or
 	// Snapshot) before normal rounds resume.
 	CatchUp bool
-	// MaskGen (v4, meaningful only with CatchUp) is the server-side
+	// MaskGen (meaningful only with CatchUp) is the server-side
 	// mask generation, letting the client detect a generation *ahead*
 	// of the server's before any state moves (ErrFutureGeneration at
 	// the transport layer).

@@ -97,9 +97,7 @@ func TestRoundTripStream(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := sampleMsgs()
 	for _, m := range msgs {
-		if err := WriteMsg(&buf, m); err != nil {
-			t.Fatalf("WriteMsg: %v", err)
-		}
+		buf.Write(Encode(m))
 	}
 	for _, want := range msgs {
 		got, err := ReadMsg(&buf, 0)
@@ -212,12 +210,14 @@ func TestHostileMissedCount(t *testing.T) {
 	var m WelcomeMsg
 	frame := Encode(&m)
 	body := append([]byte(nil), frame[headerLen:len(frame)-trailerLen]...)
-	// The final 8 bytes are the missed count (0); overwrite with 1<<40.
-	for i := len(body) - 8; i < len(body); i++ {
+	// The missed count (0) sits before the codec (2 bytes), catch-up flag
+	// (1) and mask generation (8); overwrite it with 1<<40.
+	off := len(body) - 11 - 8
+	for i := off; i < off+8; i++ {
 		body[i] = 0
 	}
-	body[len(body)-3] = 1 // little-endian byte 5 → 2^40
-	if _, err := decodeBody(KindWelcome, 1, body); !errors.Is(err, ErrCorrupt) {
+	body[off+5] = 1 // little-endian byte 5 → 2^40
+	if _, err := decodeBody(KindWelcome, body); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hostile missed count: got %v, want ErrCorrupt", err)
 	}
 }
@@ -228,28 +228,31 @@ func TestTrailingGarbageInBody(t *testing.T) {
 	// body decoder must reject the leftovers.
 	body := append([]byte(nil), good[headerLen:len(good)-trailerLen]...)
 	body = append(body, 0)
-	if _, err := decodeBody(KindJoin, 1, body); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeBody(KindJoin, body); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing byte in body: got %v, want ErrCorrupt", err)
 	}
 }
 
-// TestCatchUpWelcomeVersion pins canonical versioning for the catch-up
-// handshake: a Welcome encodes at v4 exactly when CatchUp is set, so
-// pre-v4 peers interoperate until a catch-up is actually needed.
+// TestCatchUpWelcomeVersion pins the catch-up handshake to the one
+// Welcome layout: with and without CatchUp the frame carries Version and
+// the same fields, so the two differ only in the field values.
 func TestCatchUpWelcomeVersion(t *testing.T) {
 	plain := Encode(&WelcomeMsg{Dim: 1, Init: []float64{1}, Round: 3})
-	if got := plain[4]; got != 1 {
-		t.Fatalf("plain welcome stamped v%d, want v1", got)
-	}
 	catch := Encode(&WelcomeMsg{Dim: 1, Init: []float64{1}, Round: 3, CatchUp: true, MaskGen: 2})
-	if got := catch[4]; got != 4 {
-		t.Fatalf("catch-up welcome stamped v%d, want v4", got)
+	for _, frame := range [][]byte{plain, catch} {
+		if got := frame[4]; got != Version {
+			t.Fatalf("welcome stamped version %d, want %d", got, Version)
+		}
 	}
-	// The v4 kinds are rejected below v4 from the header check alone.
-	frame := Encode(&ResumeOfferMsg{Round: 1, MaskGen: 1})
-	frame[4] = 3
-	if _, _, err := Decode(frame, 0); !errors.Is(err, ErrVersion) {
-		t.Fatalf("v3-stamped resume-offer: got %v, want ErrVersion", err)
+	if len(plain) != len(catch) {
+		t.Fatalf("plain welcome %d bytes, catch-up welcome %d bytes: want one layout", len(plain), len(catch))
+	}
+	got, _, err := Decode(catch, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := got.(*WelcomeMsg); !w.CatchUp || w.MaskGen != 2 {
+		t.Fatalf("catch-up fields lost: %+v", w)
 	}
 }
 
@@ -265,7 +268,7 @@ func TestHostileCatchUpCounts(t *testing.T) {
 			body[i] = 0
 		}
 		body[len(body)-3] = 1
-		if _, err := decodeBody(m.WireKind(), 4, body); !errors.Is(err, ErrCorrupt) {
+		if _, err := decodeBody(m.WireKind(), body); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: hostile count: got %v, want ErrCorrupt", m.WireKind(), err)
 		}
 	}
@@ -276,7 +279,7 @@ func TestHostileCatchUpCounts(t *testing.T) {
 	// body: word(8) gen(8) ... — flip the generation's high byte.
 	genOff := len(body) - wordBlockMinLen + 8 + 7
 	body[genOff] = 0xff
-	if _, err := decodeBody(KindDelta, 4, body); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeBody(KindDelta, body); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("oversized word generation: got %v, want ErrCorrupt", err)
 	}
 }
