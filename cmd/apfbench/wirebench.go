@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -45,6 +46,29 @@ type sparsebenchEntry struct {
 	Q16EncodeNs     float64 `json:"sparse_q16_encode_ns"`
 }
 
+// codecbenchEntry times one dense global frame of the report's dimension
+// through the codec against a plain copy of the same bytes in the same
+// run: encode and decode are gated as multiples of that reference arm,
+// never as absolute times.
+type codecbenchEntry struct {
+	FrameBytes      int64   `json:"frame_bytes"`
+	EncodeNs        float64 `json:"wire_encode_ns_per_msg"`
+	DecodeNs        float64 `json:"wire_decode_ns_per_msg"`
+	CopyNs          float64 `json:"copy_ns_per_msg"`
+	EncodeToCopy    float64 `json:"encode_to_copy"`
+	DecodeToCopy    float64 `json:"decode_to_copy"`
+	MaxEncodeToCopy float64 `json:"max_encode_to_copy"`
+	MaxDecodeToCopy float64 `json:"max_decode_to_copy"`
+}
+
+// Codec gates: 1.25x the encode/copy and decode/copy ratios recorded at
+// GOMAXPROCS 2 (Intel Xeon; the median of five runs, since single runs
+// there spread about ±10% around it). All three arms are single-threaded.
+const (
+	maxEncodeToCopy = 1.25 * 5.24
+	maxDecodeToCopy = 1.25 * 6.88
+)
+
 // wirebenchReport is the BENCH_wire.json document.
 type wirebenchReport struct {
 	Commit     string             `json:"commit"`   // VCS stamp: `make wirebench` passes -buildvcs=true
@@ -55,6 +79,8 @@ type wirebenchReport struct {
 	GoVersion  string             `json:"go_version"`
 	Dim        int                `json:"dim"`
 	Note       string             `json:"note"`
+	CodecNote  string             `json:"codec_note"`
+	Codec      codecbenchEntry    `json:"codec"`
 	Broadcast  []wirebenchEntry   `json:"broadcast"`
 	SparseNote string             `json:"sparse_note"`
 	Sparse     []sparsebenchEntry `json:"sparse"`
@@ -96,6 +122,10 @@ func runWirebench(path string) error {
 		GoVersion:  runtime.Version(),
 		Dim:        wirebenchDim,
 		Note:       "bytes are per round per client (steady-state stream); ns are per round across all clients; wire_broadcast_ns_per_round (encode once + fan-out) must stay close to wire_encode_ns_per_round as clients grow",
+	}
+
+	if err := runCodecbench(&rep, msg); err != nil {
+		return err
 	}
 
 	for _, clients := range []int{2, 8, 32} {
@@ -141,6 +171,62 @@ func runWirebench(path string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wirebench: wrote %s\n", path)
+	return nil
+}
+
+// codecbenchReps is how many interleaved repetitions of the three codec
+// arms run; each arm keeps its fastest, so a burst of load from another
+// process on the machine skews no ratio.
+const codecbenchReps = 5
+
+// runCodecbench fills the report's codec row: encode and steady-state
+// decode (one reused read buffer, as a connection reads) of msg's frame,
+// and the copy reference arm, then applies the codec gates.
+func runCodecbench(rep *wirebenchReport, msg wire.Msg) error {
+	fmt.Fprintf(os.Stderr, "wirebench: codec\n")
+	frame := wire.Encode(msg)
+	var rb wire.ReadBuffer
+	rd := bytes.NewReader(frame)
+	dst := make([]byte, len(frame))
+	arms := []func(){
+		func() { _ = wire.Encode(msg) },
+		func() {
+			rd.Reset(frame)
+			if _, err := rb.ReadMsg(rd, 0); err != nil {
+				panic(err)
+			}
+		},
+		func() { copy(dst, frame) },
+	}
+	best := make([]float64, len(arms))
+	for k := 0; k < codecbenchReps; k++ {
+		for i, arm := range arms {
+			r := testing.Benchmark(func(b *testing.B) {
+				for n := 0; n < b.N; n++ {
+					arm()
+				}
+			})
+			if ns := float64(r.NsPerOp()); k == 0 || ns < best[i] {
+				best[i] = ns
+			}
+		}
+	}
+	e := codecbenchEntry{
+		FrameBytes:      int64(len(frame)),
+		EncodeNs:        best[0],
+		DecodeNs:        best[1],
+		CopyNs:          best[2],
+		EncodeToCopy:    best[0] / best[2],
+		DecodeToCopy:    best[1] / best[2],
+		MaxEncodeToCopy: maxEncodeToCopy,
+		MaxDecodeToCopy: maxDecodeToCopy,
+	}
+	rep.Codec = e
+	rep.CodecNote = fmt.Sprintf("codec times one dense global frame: encode into a fresh frame, decode through one reused read buffer, and a plain copy of the same bytes as the in-run reference arm; each arm is the fastest of %d interleaved repetitions; CI gate: encode_to_copy and decode_to_copy within their max_* (1.25x the recorded ratios)", codecbenchReps)
+	if e.EncodeToCopy > e.MaxEncodeToCopy || e.DecodeToCopy > e.MaxDecodeToCopy {
+		return fmt.Errorf("codec regression gate: encode/copy %.2f (max %.2f), decode/copy %.2f (max %.2f)",
+			e.EncodeToCopy, e.MaxEncodeToCopy, e.DecodeToCopy, e.MaxDecodeToCopy)
+	}
 	return nil
 }
 

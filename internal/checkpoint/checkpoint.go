@@ -63,25 +63,22 @@ var (
 	ErrVersion = errors.New("checkpoint: unsupported format version")
 )
 
-// AppendFrame appends one checksummed frame of the given kind to dst and
-// returns the extended slice. The CRC covers the header and the payload,
-// so a torn header is as detectable as a torn payload.
+// AppendFrame appends one checksummed frame of the given kind to dst,
+// growing it once to fit, and returns the extended slice. The CRC covers
+// the header and the payload, so a torn header is as detectable as a torn
+// payload.
 func AppendFrame(dst []byte, kind uint16, payload []byte) []byte {
 	if len(payload) > MaxFramePayload {
 		panic(fmt.Sprintf("checkpoint: frame payload %d exceeds limit", len(payload)))
 	}
+	dst = grow(dst, frameHeaderLen+len(payload)+frameTrailLen)
 	start := len(dst)
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
-	binary.LittleEndian.PutUint16(hdr[4:], Version)
-	binary.LittleEndian.PutUint16(hdr[6:], kind)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
+	dst = binary.LittleEndian.AppendUint16(dst, Version)
+	dst = binary.LittleEndian.AppendUint16(dst, kind)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = append(dst, payload...)
-	sum := crc32.ChecksumIEEE(dst[start:])
-	var tr [frameTrailLen]byte
-	binary.LittleEndian.PutUint32(tr[0:], sum)
-	return append(dst, tr[:]...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
 // ReadFrame decodes the frame at the front of buf, returning its kind,
@@ -113,36 +110,93 @@ func ReadFrame(buf []byte) (kind uint16, payload, rest []byte, err error) {
 	return kind, buf[frameHeaderLen:end], buf[end+frameTrailLen:], nil
 }
 
-// Writer serializes scalars and slices little-endian into a growing
-// buffer. Floats are written as raw IEEE-754 bits, never formatted, so
-// encode/decode round-trips bit-exactly (NaN payloads included).
+// Writer serializes scalars and slices little-endian. Floats are written
+// as raw IEEE-754 bits, never formatted, so encode/decode round-trips
+// bit-exactly (NaN payloads included).
+//
+// Encoders size before they write: one body function runs first through a
+// counting Writer (NewCounter), which only adds up the encoded length, and
+// then through a Writer over a destination of exactly that capacity
+// (NewWriter), so an encoding is built in one buffer of its final size,
+// with no regrowth and no copy. Slice fields reserve their bytes once and
+// convert the whole column in one loop. The zero Writer appends to a
+// growing buffer of its own.
 type Writer struct {
-	buf []byte
+	buf      []byte
+	n        int
+	counting bool
 }
 
-// Bytes returns the accumulated encoding.
+// NewWriter returns a Writer that appends to dst.
+func NewWriter(dst []byte) Writer { return Writer{buf: dst} }
+
+// NewCounter returns a Writer that writes nothing and only counts the
+// bytes the encoding takes (Len).
+func NewCounter() Writer { return Writer{counting: true} }
+
+// Encode returns the encoding body writes, in one buffer of exactly its
+// length: body runs first through a counting Writer, then into the buffer.
+func Encode(body func(w *Writer)) []byte {
+	c := NewCounter()
+	body(&c)
+	w := NewWriter(make([]byte, 0, c.Len()))
+	body(&w)
+	return w.Bytes()
+}
+
+// Bytes returns the accumulated encoding (nil on a counting Writer).
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Reset discards the accumulated encoding but keeps the backing array, so
-// a pooled Writer re-encodes without reallocating (package wire re-frames
-// every protocol message through one of these).
-func (w *Writer) Reset() { w.buf = w.buf[:0] }
+// Len returns the number of bytes this Writer has encoded or counted.
+func (w *Writer) Len() int { return w.n }
+
+// reserve extends the encoding by k bytes and returns them for the caller
+// to fill; a counting Writer only counts them and returns nil.
+func (w *Writer) reserve(k int) []byte {
+	w.n += k
+	if w.counting {
+		return nil
+	}
+	w.buf = grow(w.buf, k)
+	m := len(w.buf)
+	w.buf = w.buf[:m+k]
+	return w.buf[m:]
+}
+
+// grow returns b with room for k more bytes, reallocating at most once:
+// to exactly len(b)+k when b is empty, so a sized encoding allocates its
+// final size, and with doubling headroom otherwise.
+func grow(b []byte, k int) []byte {
+	if cap(b)-len(b) >= k {
+		return b
+	}
+	return append(make([]byte, 0, 2*len(b)+k), b...)
+}
 
 // U16 appends one uint16.
-func (w *Writer) U16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
+func (w *Writer) U16(v uint16) {
+	if b := w.reserve(2); b != nil {
+		binary.LittleEndian.PutUint16(b, v)
+	}
+}
 
 // U64 appends one uint64.
-func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *Writer) U64(v uint64) {
+	if b := w.reserve(8); b != nil {
+		binary.LittleEndian.PutUint64(b, v)
+	}
+}
 
 // Int appends one int (as a sign-preserving 64-bit value).
 func (w *Writer) Int(v int) { w.U64(uint64(int64(v))) }
 
 // Bool appends one bool.
 func (w *Writer) Bool(v bool) {
-	if v {
-		w.buf = append(w.buf, 1)
-	} else {
-		w.buf = append(w.buf, 0)
+	if b := w.reserve(1); b != nil {
+		b[0] = 0
+		if v {
+			b[0] = 1
+		}
 	}
 }
 
@@ -152,31 +206,62 @@ func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 // F64s appends a length-prefixed []float64.
 func (w *Writer) F64s(v []float64) {
 	w.Int(len(v))
-	for _, x := range v {
-		w.F64(x)
+	if b := w.reserve(8 * len(v)); b != nil {
+		b = b[:8*len(v)] // bounds hint: one check for the whole loop
+		for i, x := range v {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+		}
 	}
 }
 
 // Ints appends a length-prefixed []int.
 func (w *Writer) Ints(v []int) {
 	w.Int(len(v))
-	for _, x := range v {
-		w.Int(x)
+	if b := w.reserve(8 * len(v)); b != nil {
+		b = b[:8*len(v)]
+		for i, x := range v {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(int64(x)))
+		}
 	}
 }
 
 // U64s appends a length-prefixed []uint64.
 func (w *Writer) U64s(v []uint64) {
 	w.Int(len(v))
-	for _, x := range v {
-		w.U64(x)
+	if b := w.reserve(8 * len(v)); b != nil {
+		b = b[:8*len(v)]
+		for i, x := range v {
+			binary.LittleEndian.PutUint64(b[8*i:], x)
+		}
+	}
+}
+
+// U16s appends a length-prefixed []uint16.
+func (w *Writer) U16s(v []uint16) {
+	w.Int(len(v))
+	if b := w.reserve(2 * len(v)); b != nil {
+		b = b[:2*len(v)]
+		for i, x := range v {
+			binary.LittleEndian.PutUint16(b[2*i:], x)
+		}
 	}
 }
 
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.Int(len(s))
-	w.buf = append(w.buf, s...)
+	if b := w.reserve(len(s)); b != nil {
+		copy(b, s)
+	}
+}
+
+// ByteString appends a length-prefixed []byte in String's layout, without
+// converting it to a string first.
+func (w *Writer) ByteString(v []byte) {
+	w.Int(len(v))
+	if b := w.reserve(len(v)); b != nil {
+		copy(b, v)
+	}
 }
 
 // Reader decodes a Writer-produced buffer. It is error-sticky: after the
@@ -284,41 +369,69 @@ func (r *Reader) length(elemSize int) int {
 	return n
 }
 
+// column reads a length-prefixed slice of elemSize-byte elements and
+// returns its count and bytes, the length bounded by the remaining payload
+// before the caller allocates.
+func (r *Reader) column(elemSize int) (int, []byte) {
+	n := r.length(elemSize)
+	if r.err != nil || n == 0 {
+		return 0, nil
+	}
+	return n, r.take(n * elemSize)
+}
+
 // F64s reads a length-prefixed []float64 (nil when empty).
 func (r *Reader) F64s() []float64 {
-	n := r.length(8)
-	if r.err != nil || n == 0 {
+	n, b := r.column(8)
+	if n == 0 {
 		return nil
 	}
 	out := make([]float64, n)
+	b = b[:8*len(out)] // bounds hint: one check for the whole loop
 	for i := range out {
-		out[i] = r.F64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }
 
 // Ints reads a length-prefixed []int (nil when empty).
 func (r *Reader) Ints() []int {
-	n := r.length(8)
-	if r.err != nil || n == 0 {
+	n, b := r.column(8)
+	if n == 0 {
 		return nil
 	}
 	out := make([]int, n)
+	b = b[:8*len(out)]
 	for i := range out {
-		out[i] = r.Int()
+		out[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
 	}
 	return out
 }
 
 // U64s reads a length-prefixed []uint64 (nil when empty).
 func (r *Reader) U64s() []uint64 {
-	n := r.length(8)
-	if r.err != nil || n == 0 {
+	n, b := r.column(8)
+	if n == 0 {
 		return nil
 	}
 	out := make([]uint64, n)
+	b = b[:8*len(out)]
 	for i := range out {
-		out[i] = r.U64()
+		out[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	return out
+}
+
+// U16s reads a length-prefixed []uint16 (nil when empty).
+func (r *Reader) U16s() []uint16 {
+	n, b := r.column(2)
+	if n == 0 {
+		return nil
+	}
+	out := make([]uint16, n)
+	b = b[:2*len(out)]
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint16(b[2*i:])
 	}
 	return out
 }

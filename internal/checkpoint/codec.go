@@ -12,29 +12,28 @@ import (
 // bits, so a restored manager continues the freezing protocol from the
 // identical EMAs, periods, and threshold.
 func EncodeManager(s *core.State) []byte {
-	var w Writer
-	w.Int(s.Dim)
-	w.F64s(s.Ref)
-	w.F64s(s.LastCheck)
-	w.F64(s.Tracker.Alpha)
-	w.F64s(s.Tracker.E)
-	w.F64s(s.Tracker.A)
-	w.Int(s.Tracker.Seen)
-	w.U64s(s.Tracker.Seeded)
-	w.F64s(s.Period)
-	w.Ints(s.UnfreezeAt)
-	w.Ints(s.RandomUntil)
-	w.F64(s.Threshold)
-	w.Int(s.CheckCount)
-	w.Bool(s.Initialized)
-	w.Int(s.InitRound)
-	w.Int(s.LastRound)
-	gens := make([]int, len(s.WordGen))
-	for i, g := range s.WordGen {
-		gens[i] = int(g)
-	}
-	w.Ints(gens)
-	return AppendFrame(nil, KindManager, w.Bytes())
+	return AppendFrame(nil, KindManager, Encode(func(w *Writer) {
+		w.Int(s.Dim)
+		w.F64s(s.Ref)
+		w.F64s(s.LastCheck)
+		w.F64(s.Tracker.Alpha)
+		w.F64s(s.Tracker.E)
+		w.F64s(s.Tracker.A)
+		w.Int(s.Tracker.Seen)
+		w.U64s(s.Tracker.Seeded)
+		w.F64s(s.Period)
+		w.Ints(s.UnfreezeAt)
+		w.Ints(s.RandomUntil)
+		w.F64(s.Threshold)
+		w.Int(s.CheckCount)
+		w.Bool(s.Initialized)
+		w.Int(s.InitRound)
+		w.Int(s.LastRound)
+		w.Int(len(s.WordGen))
+		for _, g := range s.WordGen {
+			w.Int(int(g))
+		}
+	}))
 }
 
 // DecodeManager reads an EncodeManager frame back into a core.State,

@@ -101,55 +101,23 @@ func fixAdd(alo, ahi, blo, bhi uint64) (lo, hi uint64, ok bool) {
 }
 
 // fixToFloat converts a signed 128-bit fixed-point value (64 fractional
-// bits) to the nearest float64, ties to even. The rounding decision sees
-// the full 128-bit magnitude, so the conversion is correctly rounded.
+// bits) to the nearest float64, ties to even. A value that fits in an
+// int64 is one hardware conversion (round-to-nearest-even) and an exact
+// scaling by 2^-64. A wider value is first shifted right to 63 bits plus
+// sign, with every dropped bit ORed into the lowest kept bit: the shifted
+// value keeps 10 bits below the float64 mantissa, so that sticky bit
+// leaves the rounding decision of the full 128-bit value unchanged, and
+// the scaling back by 2^(s-64) is exact again.
 func fixToFloat(lo, hi uint64) float64 {
-	neg := int64(hi) < 0
-	if neg {
-		lo, hi = negate128(lo, hi)
+	if hi == uint64(int64(lo)>>63) {
+		return float64(int64(lo)) * 0x1p-64
 	}
-	if hi == 0 && lo == 0 {
-		return 0
+	s := uint(65 - bits.LeadingZeros64(hi^uint64(int64(hi)>>63))) // 1 ≤ s ≤ 64
+	m := hi<<(64-s) | lo>>s
+	if lo<<(64-s) != 0 {
+		m |= 1
 	}
-	var nbits int
-	if hi != 0 {
-		nbits = 128 - bits.LeadingZeros64(hi)
-	} else {
-		nbits = 64 - bits.LeadingZeros64(lo)
-	}
-	mant := lo // nbits ≤ 53 implies hi == 0: the value is already exact
-	e2 := 0
-	if s := uint(nbits - 53); nbits > 53 {
-		var rb, sticky uint64
-		switch {
-		case s < 64:
-			mant = hi<<(64-s) | lo>>s
-			rb = lo >> (s - 1) & 1
-			sticky = lo & (1<<(s-1) - 1)
-		case s == 64:
-			mant = hi
-			rb = lo >> 63
-			sticky = lo &^ (1 << 63)
-		default: // 64 < s ≤ 74
-			t := s - 64
-			mant = hi >> t
-			rb = hi >> (t - 1) & 1
-			sticky = hi&(1<<(t-1)-1) | lo
-		}
-		if rb == 1 && (sticky != 0 || mant&1 == 1) {
-			mant++
-		}
-		e2 = int(s)
-		if mant == 1<<53 { // carry out of the 53-bit mantissa
-			mant >>= 1
-			e2++
-		}
-	}
-	f := math.Ldexp(float64(mant), e2-64)
-	if neg {
-		return -f
-	}
-	return f
+	return float64(int64(m)) * math.Float64frombits(uint64(1023+int(s)-64)<<52)
 }
 
 // Partial is the mergeable state of an exact weighted sum: per-coordinate

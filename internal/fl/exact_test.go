@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -103,6 +104,121 @@ func TestFixAddMatchesBig(t *testing.T) {
 		if ok && fixToBig(lo, hi).Cmp(want) != 0 {
 			t.Fatalf("fixAdd = %v, want %v", fixToBig(lo, hi), want)
 		}
+	}
+}
+
+// fixToFloatRef is the general conversion fixToFloat replaced: it rounds
+// the full 128-bit magnitude to 53 bits by hand (round bit, sticky bits,
+// carry out of the mantissa) and scales with math.Ldexp. It is kept as
+// the oracle for the faster conversion.
+func fixToFloatRef(lo, hi uint64) float64 {
+	neg := int64(hi) < 0
+	if neg {
+		lo, hi = negate128(lo, hi)
+	}
+	if hi == 0 && lo == 0 {
+		return 0
+	}
+	var nbits int
+	if hi != 0 {
+		nbits = 128 - bits.LeadingZeros64(hi)
+	} else {
+		nbits = 64 - bits.LeadingZeros64(lo)
+	}
+	mant := lo // nbits ≤ 53 implies hi == 0: the value is already exact
+	e2 := 0
+	if s := uint(nbits - 53); nbits > 53 {
+		var rb, sticky uint64
+		switch {
+		case s < 64:
+			mant = hi<<(64-s) | lo>>s
+			rb = lo >> (s - 1) & 1
+			sticky = lo & (1<<(s-1) - 1)
+		case s == 64:
+			mant = hi
+			rb = lo >> 63
+			sticky = lo &^ (1 << 63)
+		default: // 64 < s ≤ 75
+			t := s - 64
+			mant = hi >> t
+			rb = hi >> (t - 1) & 1
+			sticky = hi&(1<<(t-1)-1) | lo
+		}
+		if rb == 1 && (sticky != 0 || mant&1 == 1) {
+			mant++
+		}
+		e2 = int(s)
+		if mant == 1<<53 { // carry out of the 53-bit mantissa
+			mant >>= 1
+			e2++
+		}
+	}
+	f := math.Ldexp(float64(mant), e2-64)
+	if neg {
+		return -f
+	}
+	return f
+}
+
+// TestFixToFloatMatchesReference pins fixToFloat bit for bit to the
+// general routine over 10M random 128-bit values, drawn so that every
+// width from 1 to 128 bits is common, and over the signed boundaries: 0,
+// ±1, ±2^63 (the int64 fast path's edges), the extremes of the range,
+// and mantissa ties and carries at every shift.
+func TestFixToFloatMatchesReference(t *testing.T) {
+	check := func(lo, hi uint64) {
+		got, want := fixToFloat(lo, hi), fixToFloatRef(lo, hi)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("fixToFloat(%v) = %v, reference %v", fixToBig(lo, hi), got, want)
+		}
+	}
+	// shifted returns v·2^s as a 128-bit pair, for 0 ≤ s < 128.
+	shifted := func(v uint64, s uint) (uint64, uint64) {
+		if s >= 64 {
+			return 0, v << (s - 64)
+		}
+		return v << s, v >> (64 - s)
+	}
+	neg := func(lo, hi uint64) (uint64, uint64) { return negate128(lo, hi) }
+	for _, v := range [][2]uint64{
+		{0, 0}, {1, 0}, {^uint64(0), ^uint64(0)}, // 0, +1, -1
+		{1 << 63, 0}, {1<<63 - 1, 0}, // 2^63 (wide), 2^63-1 (fast)
+		{1 << 63, ^uint64(0)}, {1<<63 + 1, ^uint64(0)}, {1<<63 - 1, ^uint64(0)}, // -2^63 (fast), -2^63+1, -2^63-1 (wide)
+		{0, 1}, {^uint64(0), 0}, {0, ^uint64(0)}, // ±2^64, 2^64-1
+		{0, 1 << 63}, {^uint64(0), 1<<63 - 1}, {1, 1 << 63}, // range extremes
+	} {
+		check(v[0], v[1])
+	}
+	// Ties and carries: a 54-bit odd or even mantissa with its low bit a
+	// round bit, plus and minus one unit, at every shift, both signs.
+	for s := uint(0); s < 75; s++ {
+		for _, m := range []uint64{1<<54 - 1, 1<<54 - 3, 1<<53 + 1, 1<<53 + 3, 1<<54 - 2} {
+			lo, hi := shifted(m, s)
+			for _, d := range []int{-1, 0, 1} {
+				l, h := lo+uint64(int64(d)), hi
+				if d < 0 && lo == 0 {
+					h--
+				} else if d > 0 && l == 0 {
+					h++
+				}
+				check(l, h)
+				check(neg(l, h))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(47))
+	for i := 0; i < 10_000_000; i++ {
+		lo, hi := rng.Uint64(), rng.Uint64()
+		// Narrow to a random signed width so small and mid-range values,
+		// where the fast path and the shift path meet, are as common as
+		// full-width ones.
+		if w := uint(rng.Intn(128)); w < 64 {
+			lo = uint64(int64(lo) >> (63 - w))
+			hi = uint64(int64(lo) >> 63)
+		} else {
+			hi = uint64(int64(hi) >> (127 - w))
+		}
+		check(lo, hi)
 	}
 }
 

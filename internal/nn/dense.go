@@ -12,6 +12,8 @@ type Dense struct {
 	w, b *Param
 
 	lastInput *tensor.Tensor
+	// dw is Backward's scratch for xᵀ·dy, reused across steps.
+	dw *tensor.Tensor
 }
 
 var _ Layer = (*Dense)(nil)
@@ -50,7 +52,8 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if x == nil {
 		panic("nn: Dense.Backward called before Forward")
 	}
-	d.w.Grad.AddAssign(tensor.MatMulTransA(x, grad))
+	d.dw = tensor.MatMulTransAInto(d.dw, x, grad)
+	d.w.Grad.AddAssign(d.dw)
 	n, m := grad.Shape[0], grad.Shape[1]
 	for i := 0; i < n; i++ {
 		row := grad.Data[i*m : (i+1)*m]

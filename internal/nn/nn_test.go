@@ -35,6 +35,38 @@ func TestDenseGradients(t *testing.T) {
 	checkLayer(t, layer, tensor.Randn(rng, 0, 1, 3, 5))
 }
 
+// TestDenseBackwardReusesScratch pins Backward's allocations to the
+// returned input gradient: the weight gradient xᵀ·dy goes through the
+// layer's reused scratch, and accumulates to the same bits as a fresh
+// product would.
+func TestDenseBackwardReusesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	d := NewDense(rng, "fc", 64, 32)
+	x := tensor.New(8, 64)
+	dy := tensor.New(8, 32)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	for i := range dy.Data {
+		dy.Data[i] = rng.NormFloat64()
+	}
+	d.Forward(x, true)
+	d.Backward(dy)
+	want := d.w.Grad.Clone()
+	want.AddAssign(tensor.MatMulTransA(x, dy))
+	d.Backward(dy)
+	for i, v := range d.w.Grad.Data {
+		if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("weight gradient %d = %v, want %v", i, v, want.Data[i])
+		}
+	}
+
+	dx := testing.AllocsPerRun(20, func() { tensor.MatMulTransB(dy, d.w.Data) })
+	if got := testing.AllocsPerRun(20, func() { d.Backward(dy) }); got > dx {
+		t.Errorf("Backward allocates %v times per call, want at most the %v of its input gradient", got, dx)
+	}
+}
+
 func TestDenseForwardValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := NewDense(rng, "fc", 2, 2)

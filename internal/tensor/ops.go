@@ -169,7 +169,13 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // MatMulTransA computes aᵀ·b for rank-2 a (k×m) and b (k×n) → (m×n).
-func MatMulTransA(a, b *Tensor) *Tensor {
+func MatMulTransA(a, b *Tensor) *Tensor { return MatMulTransAInto(nil, a, b) }
+
+// MatMulTransAInto computes aᵀ·b like MatMulTransA, into out when out
+// already has the m×n shape (its contents are overwritten) and into a new
+// tensor otherwise, and returns the result. The summation order is
+// MatMulTransA's, so the bits are too.
+func MatMulTransAInto(out, a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulTransA requires rank-2 operands, got %v and %v", a.Shape, b.Shape))
 	}
@@ -178,7 +184,11 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTransA inner dimensions differ: %v vs %v", a.Shape, b.Shape))
 	}
-	out := New(m, n)
+	if out == nil || out.Rank() != 2 || out.Shape[0] != m || out.Shape[1] != n {
+		out = New(m, n)
+	} else {
+		out.Zero()
+	}
 	for kk := 0; kk < k; kk++ {
 		arow := a.Data[kk*m : (kk+1)*m]
 		brow := b.Data[kk*n : (kk+1)*n]

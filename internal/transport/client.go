@@ -142,10 +142,13 @@ type clientRun struct {
 	// inflight is the prepared-but-unacknowledged UpdateMsg, re-sent
 	// idempotently after a reconnect so local training runs exactly once
 	// per round. inflightGen is the mask generation captured when inflight
-	// was prepared (-1 unknown), stamped on its sparse framing.
+	// was prepared (-1 unknown), stamped on its sparse framing. spare is
+	// the payload array of the last acknowledged update, reused by the
+	// next round's.
 	applied     int
 	inflight    *UpdateMsg
 	inflightGen int
+	spare       []float64
 
 	// Current connection, guarded for the cancellation watcher.
 	connMu sync.Mutex
@@ -367,7 +370,7 @@ func (r *clientRun) session(ctx context.Context) error {
 			// survive re-sends across reconnects.
 			r.inflight = &UpdateMsg{
 				Round:    round,
-				Payload:  append([]float64(nil), payload...),
+				Payload:  append(r.spare[:0], payload...),
 				Weight:   weight,
 				MaskHash: hash,
 			}
@@ -413,7 +416,7 @@ func (r *clientRun) session(ctx context.Context) error {
 		if err := r.applyGlobal(g); err != nil {
 			return err
 		}
-		r.inflight = nil
+		r.spare, r.inflight = r.inflight.Payload, nil
 		if r.metrics != nil {
 			r.metrics.roundSeconds.Observe(time.Since(roundStart).Seconds())
 		}

@@ -7,9 +7,9 @@ import (
 	"apf/internal/wire"
 )
 
-// Inbound payload limits, enforced by wire.ReadMsg from the frame header
-// before any payload is read: a hostile peer cannot drive an allocation
-// past these.
+// Inbound payload limits, enforced by wire.ReadBuffer.ReadMsg from the
+// frame header before any payload is read: a hostile peer cannot drive an
+// allocation past these.
 const (
 	// joinPayloadLimit bounds a JoinMsg (a name, a session key, a round
 	// number) generously.
@@ -30,18 +30,20 @@ func partialPayloadLimit(dim int) int { return dim*16 + modelPayloadSlack }
 
 // readMsg reads one framed message with the connection's I/O deadline and
 // the given payload limit, accounting the frame (or the decode failure)
-// to wm when instrumentation is attached.
-func readMsg(c net.Conn, timeout time.Duration, limit int, wm *wireMetrics) (wire.Msg, error) {
-	if err := c.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+// to wm when instrumentation is attached. The frame is read through the
+// connection's own buffer, reused from frame to frame for as long as the
+// connection lives.
+func readMsg(cc *countingConn, timeout time.Duration, limit int, wm *wireMetrics) (wire.Msg, error) {
+	if err := cc.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, err
 	}
 	if wm == nil {
-		return wire.ReadMsg(c, limit)
+		return cc.rb.ReadMsg(cc, limit)
 	}
 	// The metered wrapper measures exactly this call's bytes; the
 	// connection's own counters mix in concurrent writer traffic.
-	mr := meteredReader{r: c}
-	m, err := wire.ReadMsg(&mr, limit)
+	mr := meteredReader{r: cc}
+	m, err := cc.rb.ReadMsg(&mr, limit)
 	if err != nil {
 		wm.recordReadErr(err)
 		return nil, err

@@ -79,37 +79,37 @@ type validatorState struct {
 // encodeServerState frames the snapshot payload (without the outer frame;
 // checkpoint.Store adds it).
 func encodeServerState(s *serverState) []byte {
-	var w checkpoint.Writer
-	w.Int(s.NumClients)
-	w.Int(s.Rounds)
-	w.F64s(s.Init)
-	w.Int(len(s.Keys))
-	for i := range s.Keys {
-		w.String(s.Keys[i])
-		w.String(s.Names[i])
-	}
-	w.Int(len(s.History))
-	for i := range s.History {
-		wire.AppendGlobalBody(&w, &s.History[i])
-	}
-	w.Int(s.PartialRounds)
-	w.Bool(s.Validator != nil)
-	if v := s.Validator; v != nil {
-		w.Ints(v.Strikes)
-		w.Int(len(v.Quar))
-		for _, q := range v.Quar {
-			w.Bool(q)
+	return checkpoint.Encode(func(w *checkpoint.Writer) {
+		w.Int(s.NumClients)
+		w.Int(s.Rounds)
+		w.F64s(s.Init)
+		w.Int(len(s.Keys))
+		for i := range s.Keys {
+			w.String(s.Keys[i])
+			w.String(s.Names[i])
 		}
-		w.F64s(v.Norms)
-		w.F64s(v.Ref)
-		w.Int(v.RefCount)
-		w.Ints(v.QuarRound)
-	}
-	w.Int(s.HistoryBase)
-	w.Int(s.ShadowRound)
-	w.String(string(s.Shadow))
-	w.F64s(s.ShadowX)
-	return w.Bytes()
+		w.Int(len(s.History))
+		for i := range s.History {
+			wire.AppendGlobalBody(w, &s.History[i])
+		}
+		w.Int(s.PartialRounds)
+		w.Bool(s.Validator != nil)
+		if v := s.Validator; v != nil {
+			w.Ints(v.Strikes)
+			w.Int(len(v.Quar))
+			for _, q := range v.Quar {
+				w.Bool(q)
+			}
+			w.F64s(v.Norms)
+			w.F64s(v.Ref)
+			w.Int(v.RefCount)
+			w.Ints(v.QuarRound)
+		}
+		w.Int(s.HistoryBase)
+		w.Int(s.ShadowRound)
+		w.ByteString(s.Shadow)
+		w.F64s(s.ShadowX)
+	})
 }
 
 // decodeServerState reads a snapshot payload back.
@@ -171,9 +171,7 @@ func decodeServerState(payload []byte) (*serverState, error) {
 // encodeWALGlobal frames one emitted aggregate for the WAL, in the same
 // body encoding the socket uses.
 func encodeWALGlobal(g *GlobalMsg) []byte {
-	var w checkpoint.Writer
-	wire.AppendGlobalBody(&w, g)
-	return w.Bytes()
+	return checkpoint.Encode(func(w *checkpoint.Writer) { wire.AppendGlobalBody(w, g) })
 }
 
 // decodeWALGlobal reads a global record back.

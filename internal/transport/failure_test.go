@@ -36,7 +36,7 @@ func (p *rawPeer) send(m wire.Msg) {
 
 func (p *rawPeer) recv() wire.Msg {
 	p.t.Helper()
-	m, err := readMsg(p.conn, 5*time.Second, wire.MaxPayload, nil)
+	m, err := readMsg(&countingConn{Conn: p.conn}, 5*time.Second, wire.MaxPayload, nil)
 	if err != nil {
 		p.t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func (wm *wireMetrics) recordReadErr(err error) {
 	}
 }
 
-// meteredReader counts the bytes a wire.ReadMsg call actually consumed,
+// meteredReader counts the bytes one wire read actually consumed,
 // so inbound byte accounting covers the exact frame (header, payload,
 // trailer) regardless of concurrent writers on the same connection.
 type meteredReader struct {

@@ -818,7 +818,7 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 			if err := writeMsg(peer, 2*time.Second, &ResumeOfferMsg{Round: 3, MaskGen: cap.gen}, nil); err != nil {
 				return err
 			}
-			m, err := readMsg(peer, 2*time.Second, wire.MaxPayload, nil)
+			m, err := readMsg(&countingConn{Conn: peer}, 2*time.Second, wire.MaxPayload, nil)
 			if err != nil {
 				return err
 			}
@@ -858,7 +858,7 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if _, err := readMsg(conn, ioT, wire.MaxPayload, nil); err != nil {
+				if _, err := readMsg(&countingConn{Conn: conn}, ioT, wire.MaxPayload, nil); err != nil {
 					return fmt.Errorf("join 1: %w", err)
 				}
 				w := &WelcomeMsg{ClientID: 0, NumClients: 1, Rounds: 20, Dim: dim, Init: init}
@@ -866,7 +866,7 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 					return fmt.Errorf("welcome 1: %w", err)
 				}
 				for r := 0; r < 2; r++ {
-					if _, err := readMsg(conn, ioT, wire.MaxPayload, nil); err != nil {
+					if _, err := readMsg(&countingConn{Conn: conn}, ioT, wire.MaxPayload, nil); err != nil {
 						return fmt.Errorf("update %d: %w", r, err)
 					}
 					g := &GlobalMsg{Round: r, Payload: init, Participants: 1}
@@ -876,7 +876,7 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 				}
 				// Wait for the round-2 push so the client has demonstrably
 				// applied round 1, then sever.
-				if _, err := readMsg(conn, ioT, wire.MaxPayload, nil); err != nil {
+				if _, err := readMsg(&countingConn{Conn: conn}, ioT, wire.MaxPayload, nil); err != nil {
 					return fmt.Errorf("update 2: %w", err)
 				}
 				closeQuietly(conn)
@@ -886,7 +886,7 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				m, err := readMsg(conn, ioT, wire.MaxPayload, nil)
+				m, err := readMsg(&countingConn{Conn: conn}, ioT, wire.MaxPayload, nil)
 				if err != nil {
 					return fmt.Errorf("join 2: %w", err)
 				}
@@ -903,7 +903,7 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 				}
 				// The client must fail fast without opening the catch-up
 				// conversation: the next read sees only the hangup.
-				if m, err := readMsg(conn, ioT, wire.MaxPayload, nil); err == nil {
+				if m, err := readMsg(&countingConn{Conn: conn}, ioT, wire.MaxPayload, nil); err == nil {
 					return fmt.Errorf("client sent %s instead of failing fast", m.WireKind())
 				}
 				closeQuietly(conn)

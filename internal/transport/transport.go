@@ -135,6 +135,10 @@ type countingConn struct {
 	mu      sync.Mutex
 	read    int64
 	written int64
+	// rb is the connection's frame read buffer (readMsg). Frames are read
+	// by one goroutine at a time — the handshake's, then the session's
+	// reader — so it needs no lock, and it is dropped with the connection.
+	rb wire.ReadBuffer
 }
 
 // Read implements io.Reader with byte counting.

@@ -108,27 +108,29 @@ func ReadGlobalBody(r *checkpoint.Reader) GlobalMsg {
 func (m *GlobalMsg) appendBody(w *checkpoint.Writer) { AppendGlobalBody(w, m) }
 
 // Append frames m and appends the frame to dst, returning the extended
-// slice. The result is self-contained and immutable once built: broadcast
-// paths encode a message once and hand the same frame to every connection.
+// slice. The body is sized first (a counting pass over the same encoder),
+// dst grows once to hold the whole frame, trailer included, and the body
+// is then written straight into it. The result is self-contained and
+// immutable once built: broadcast paths encode a message once and hand
+// the same frame to every connection.
 func Append(dst []byte, m Msg) []byte {
-	var w checkpoint.Writer
-	m.appendBody(&w)
-	payload := w.Bytes()
-	if len(payload) > MaxPayload {
-		panic(fmt.Sprintf("wire: message payload %d exceeds MaxPayload", len(payload)))
+	c := checkpoint.NewCounter()
+	m.appendBody(&c)
+	n := c.Len()
+	if n > MaxPayload {
+		panic(fmt.Sprintf("wire: message payload %d exceeds MaxPayload", n))
+	}
+	if need := headerLen + n + trailerLen; cap(dst)-len(dst) < need {
+		dst = append(make([]byte, 0, len(dst)+need), dst...)
 	}
 	start := len(dst)
-	var hdr [headerLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
-	hdr[4] = Version
-	hdr[5] = byte(m.WireKind())
-	binary.LittleEndian.PutUint32(hdr[6:], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, payload...)
-	sum := crc32.ChecksumIEEE(dst[start:])
-	var tr [trailerLen]byte
-	binary.LittleEndian.PutUint32(tr[0:], sum)
-	return append(dst, tr[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
+	dst = append(dst, Version, byte(m.WireKind()))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	w := checkpoint.NewWriter(dst)
+	m.appendBody(&w)
+	dst = w.Bytes()
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
 // Encode frames m into a fresh buffer.
@@ -226,25 +228,38 @@ func Decode(buf []byte, limit int) (Msg, []byte, error) {
 	return m, buf[end+trailerLen:], nil
 }
 
+// ReadBuffer reads the frames of one stream through one reused buffer.
+// Every body decoder copies what it keeps out of the frame, so the buffer
+// is dead once ReadMsg returns and no decoded message aliases it; only
+// the first frame of a new high-water size allocates. A ReadBuffer serves
+// one reader at a time and should live no longer than its stream, since
+// it keeps the largest frame read so far.
+type ReadBuffer struct {
+	hdr [headerLen]byte
+	buf []byte
+}
+
 // ReadMsg reads exactly one frame from r and decodes it. limit bounds the
 // declared payload length (≤ 0 means MaxPayload): an oversized header
 // fails with ErrTooLarge before any payload is read or allocated, so a
 // hostile peer cannot drive allocations past the caller's bound. An EOF
 // before the first header byte is io.EOF (clean connection shutdown); a
 // connection dying mid-frame surfaces as the underlying read error.
-func ReadMsg(r io.Reader, limit int) (Msg, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func (b *ReadBuffer) ReadMsg(r io.Reader, limit int) (Msg, error) {
+	if _, err := io.ReadFull(r, b.hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 		}
 		return nil, err
 	}
-	kind, n, err := checkHeader(hdr[:], limit)
+	kind, n, err := checkHeader(b.hdr[:], limit)
 	if err != nil {
 		return nil, err
 	}
-	body := make([]byte, n+trailerLen)
+	if cap(b.buf) < n+trailerLen {
+		b.buf = make([]byte, n+trailerLen)
+	}
+	body := b.buf[:n+trailerLen]
 	if _, err := io.ReadFull(r, body); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("%w: truncated frame", ErrCorrupt)
@@ -252,7 +267,7 @@ func ReadMsg(r io.Reader, limit int) (Msg, error) {
 		return nil, err
 	}
 	want := binary.LittleEndian.Uint32(body[n:])
-	sum := crc32.ChecksumIEEE(hdr[:])
+	sum := crc32.ChecksumIEEE(b.hdr[:])
 	sum = crc32.Update(sum, crc32.IEEETable, body[:n])
 	if sum != want {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)

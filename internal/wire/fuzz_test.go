@@ -92,7 +92,7 @@ func FuzzWireDecode(f *testing.F) {
 			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", frame, got)
 		}
 		// The streaming reader must agree with the in-memory decoder.
-		m2, err := ReadMsg(bytes.NewReader(in), 0)
+		m2, err := new(ReadBuffer).ReadMsg(bytes.NewReader(in), 0)
 		if err != nil {
 			t.Fatalf("ReadMsg failed on a frame Decode accepted: %v", err)
 		}

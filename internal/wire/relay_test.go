@@ -37,7 +37,7 @@ func TestRelayRoundTrip(t *testing.T) {
 		}
 		sameMsg(t, m, got)
 		// The streaming reader must agree.
-		got2, err := ReadMsg(bytes.NewReader(frame), 0)
+		got2, err := new(ReadBuffer).ReadMsg(bytes.NewReader(frame), 0)
 		if err != nil {
 			t.Fatalf("%s: ReadMsg: %v", m.WireKind(), err)
 		}

@@ -152,7 +152,7 @@ func (m *SnapshotMsg) appendBody(w *checkpoint.Writer) {
 	w.Int(m.Round)
 	w.Int(m.MaskGen)
 	w.F64s(m.Payload)
-	w.String(string(m.Manager))
+	w.ByteString(m.Manager)
 }
 
 func readSnapshot(r *checkpoint.Reader) *SnapshotMsg {

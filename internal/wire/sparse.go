@@ -276,10 +276,7 @@ func readSparseGlobal(r *checkpoint.Reader) *SparseGlobalMsg {
 // appendSparseValues writes the payload column selected by enc.
 func appendSparseValues(w *checkpoint.Writer, enc Enc, values []float64, q []uint16) {
 	if enc == EncF16 {
-		w.Int(len(q))
-		for _, h := range q {
-			w.U16(h)
-		}
+		w.U16s(q)
 		return
 	}
 	w.F64s(values)
@@ -300,19 +297,7 @@ func readSparseValues(r *checkpoint.Reader, enc Enc) ([]float64, []uint16) {
 	if enc != EncF16 {
 		return r.F64s(), nil
 	}
-	n := r.Int()
-	if r.Err() != nil {
-		return nil, nil
-	}
-	if n < 0 || n > r.Remaining()/2 {
-		r.Fail("binary16 scalar count overruns frame")
-		return nil, nil
-	}
-	q := make([]uint16, n)
-	for i := range q {
-		q[i] = r.U16()
-	}
-	return nil, q
+	return nil, r.U16s()
 }
 
 // validateSparse enforces the structural invariants a sparse message must

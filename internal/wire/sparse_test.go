@@ -94,7 +94,7 @@ func TestNonCanonicalVersionRejected(t *testing.T) {
 		t.Fatalf("v1-stamped join: got %v, want ErrVersion", err)
 	}
 	up := reframe(Encode(&UpdateMsg{Round: 1, Payload: []float64{1}}), 2)
-	if _, err := ReadMsg(bytes.NewReader(up), 0); !errors.Is(err, ErrVersion) {
+	if _, err := new(ReadBuffer).ReadMsg(bytes.NewReader(up), 0); !errors.Is(err, ErrVersion) {
 		t.Fatalf("v2-stamped dense update: got %v, want ErrVersion", err)
 	}
 }

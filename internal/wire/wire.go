@@ -60,8 +60,8 @@ const (
 	trailerLen = 4
 	// MaxPayload is the hard upper bound on a frame payload; hostile
 	// length fields beyond it are rejected before any allocation. Callers
-	// reading from a network usually pass ReadMsg a much tighter limit
-	// derived from the model geometry.
+	// reading from a network usually pass ReadBuffer.ReadMsg a much
+	// tighter limit derived from the model geometry.
 	MaxPayload = 1 << 30
 )
 

@@ -99,14 +99,16 @@ func TestRoundTripStream(t *testing.T) {
 	for _, m := range msgs {
 		buf.Write(Encode(m))
 	}
+	// One ReadBuffer for the whole stream, as a connection reads.
+	var rb ReadBuffer
 	for _, want := range msgs {
-		got, err := ReadMsg(&buf, 0)
+		got, err := rb.ReadMsg(&buf, 0)
 		if err != nil {
 			t.Fatalf("%s: ReadMsg: %v", want.WireKind(), err)
 		}
 		sameMsg(t, want, got)
 	}
-	if _, err := ReadMsg(&buf, 0); err != io.EOF {
+	if _, err := rb.ReadMsg(&buf, 0); err != io.EOF {
 		t.Fatalf("EOF after last frame: got %v", err)
 	}
 }
@@ -145,7 +147,7 @@ func TestTruncatedFrames(t *testing.T) {
 		if _, _, err := Decode(frame[:n], 0); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("Decode of %d/%d bytes: got %v, want ErrCorrupt", n, len(frame), err)
 		}
-		if _, err := ReadMsg(bytes.NewReader(frame[:n]), 0); !errors.Is(err, ErrCorrupt) {
+		if _, err := new(ReadBuffer).ReadMsg(bytes.NewReader(frame[:n]), 0); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("ReadMsg of %d/%d bytes: got %v, want ErrCorrupt", n, len(frame), err)
 		}
 	}
@@ -176,7 +178,7 @@ func TestUnknownVersion(t *testing.T) {
 	if _, _, err := Decode(frame, 0); !errors.Is(err, ErrVersion) {
 		t.Fatalf("got %v, want ErrVersion", err)
 	}
-	if _, err := ReadMsg(bytes.NewReader(frame), 0); !errors.Is(err, ErrVersion) {
+	if _, err := new(ReadBuffer).ReadMsg(bytes.NewReader(frame), 0); !errors.Is(err, ErrVersion) {
 		t.Fatalf("ReadMsg: got %v, want ErrVersion", err)
 	}
 }
@@ -194,7 +196,7 @@ func TestPayloadOverLimit(t *testing.T) {
 	if _, _, err := Decode(frame, 32); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("Decode under tight limit: got %v, want ErrTooLarge", err)
 	}
-	if _, err := ReadMsg(bytes.NewReader(frame), 32); !errors.Is(err, ErrTooLarge) {
+	if _, err := new(ReadBuffer).ReadMsg(bytes.NewReader(frame), 32); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("ReadMsg under tight limit: got %v, want ErrTooLarge", err)
 	}
 	// The same frame decodes under the default limit.
